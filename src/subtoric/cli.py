@@ -158,16 +158,14 @@ def _cmd_verify(args) -> int:
             f"block reduction: {_grid_inline(br.reduced)}  "
             f"generators_match={br.generators_match} fibers_match={br.fibers_match}"
         )
-    if tri or blk:
-        pass
-    elif rep.neither_witness is not None:
+    if rep.neither_witness is not None:
         w = rep.neither_witness
         lines.append(
             f"disconnected fiber at degree {w.key.degree}: "
             f"rows={list(w.key.row_sums)} cols={list(w.key.col_sums)} "
             f"s_sum={w.key.in_sum} size={w.size}"
         )
-    else:
+    elif not (tri or blk):
         lines.append(
             f"no disconnected fiber found up to degree {rep.max_degree}"
         )

@@ -324,6 +324,53 @@ class CensusRow:
         }
 
 
+def _independent_set_counts(adjacent: Sequence[int], size: int) -> list[int]:
+    """a[k] for k = 0..size: the number of k-vertex independent sets of
+    the graph in which vertex v is adjacent to the bits of adjacent[v].
+
+    Iterative DFS over bitmasks, each set grown in ascending vertex
+    order; the last level is counted by popcount, not visited.
+    """
+    counts = [1] + [0] * size
+    if size == 0:
+        return counts
+    stack = [((1 << len(adjacent)) - 1, 0)]
+    while stack:
+        free, k = stack.pop()
+        counts[k + 1] += free.bit_count()
+        if k + 1 == size:
+            continue
+        while free:
+            low = free & -free
+            free ^= low
+            nxt = free & ~adjacent[low.bit_length() - 1]
+            if nxt:
+                stack.append((nxt, k + 1))
+    return counts
+
+
+def _margin_value_counts(s: Subset, size: int) -> list[int]:
+    """Number of distinct margin values of degree d, for d = 0..size.
+
+    Each cell becomes one integer packing its row, column and subset
+    indicator in base size + 1, so no field carries and a sum of d cells
+    packs exactly the margins of the degree-d table they form.
+    """
+    m, n = s.shape.m, s.shape.n
+    base = size + 1
+    cells = [
+        base**i + base ** (m + j) + (base ** (m + n) if s.mask[i][j] else 0)
+        for i in range(m)
+        for j in range(n)
+    ]
+    reach = {0}
+    counts = [1]
+    for _ in range(size):
+        reach = {p + c for p in reach for c in cells}
+        counts.append(len(reach))
+    return counts
+
+
 def initial_ideal_census(
     s: Subset,
     gens: GeneratorSet,
@@ -331,24 +378,45 @@ def initial_ideal_census(
     max_degree: int = 4,
     budget: Budget = DEFAULT_BUDGET,
 ) -> list[CensusRow]:
-    m, n = s.shape.m, s.shape.n
-    lead_reqs = [
-        [(idx, e) for idx, e in enumerate(g.plus.flat) if e]
-        for g in gens.binomials(order)
-    ]
-    s_idx = [i * n + j for i in range(m) for j in range(n) if s.mask[i][j]]
-    rows = []
+    """Standard monomials of the leading terms against fibers, for every
+    degree 0..max_degree, counted without listing any table.
+
+    Every kept move touches four distinct cells, so on any subset each
+    leading term is a squarefree product of two cells, and a monomial is
+    standard exactly when its support holds no leading-term pair.  With
+    a_k the number of such k-cell supports (independent sets of the graph
+    on cells whose edges are the leading terms), and C(d-1, k-1)
+    monomials of degree d on each k-cell support,
+
+        standard_count(d) = sum_{k=1..d} a_k * C(d-1, k-1),  1 at d = 0.
+
+    A fiber is one margin value, and the margin of a table is the sum of
+    the margins of its cells, so
+
+        fiber_count(d) = |{c_1 + ... + c_d : c_i cells}|,
+
+    with each cell packed as one integer (see _margin_value_counts).
+
+    The table budget still applies: every degree is checked before any
+    counting, and the first one over budget raises BudgetError.
+    """
+    if max_degree < 0:
+        raise ValueError(f"degree bound must be nonnegative, got {max_degree}")
     for d in range(max_degree + 1):
         _check_degree_budget(s.shape, d, budget)
-        standard = 0
-        keys = set()
-        for flat, rsums, csums in _margin_parts(m, n, d):
-            if not any(
-                all(flat[idx] >= e for idx, e in req) for req in lead_reqs
-            ):
-                standard += 1
-            keys.add((rsums, csums, sum(flat[idx] for idx in s_idx)))
-        rows.append(CensusRow(d, standard, len(keys)))
+    adjacent = [0] * (s.shape.m * s.shape.n)
+    for g in gens.binomials(order):
+        a, b = (idx for idx, e in enumerate(g.plus.flat) if e)
+        adjacent[a] |= 1 << b
+        adjacent[b] |= 1 << a
+    supports = _independent_set_counts(adjacent, max_degree)
+    fibers = _margin_value_counts(s, max_degree)
+    rows = [CensusRow(0, 1, fibers[0])]
+    for d in range(1, max_degree + 1):
+        standard = sum(
+            supports[k] * math.comb(d - 1, k - 1) for k in range(1, d + 1)
+        )
+        rows.append(CensusRow(d, standard, fibers[d]))
     return rows
 
 

@@ -125,6 +125,8 @@ def verify_subset(
     none up to the bound is reported as witness None, not as success of
     any generation claim.
     """
+    if max_degree < 0:
+        raise ValueError(f"degree bound must be nonnegative, got {max_degree}")
     if max_degree > budget.max_degree:
         raise BudgetError(
             f"degree bound {max_degree} exceeds budget {budget.max_degree}"

@@ -248,6 +248,20 @@ def test_verify_degree_beyond_budget_exits_3(tmp_path):
     assert proc.returncode == 3
 
 
+def test_census_negative_degree_exits_2(tmp_path):
+    proc = run_cli("census", "--degree", "-2", write_subset(tmp_path, STAIR3))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+
+
+def test_verify_negative_degree_exits_2(tmp_path):
+    proc = run_cli("verify", "--degree", "-2", write_subset(tmp_path, STAIR3))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+
+
 def test_timing_goes_to_stderr_not_stdout(tmp_path):
     proc = run_cli("classify", "--json", write_subset(tmp_path, STAIR3))
     assert "elapsed" not in proc.stdout

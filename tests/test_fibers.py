@@ -33,7 +33,7 @@ from subtoric.tables import (
     TableShape,
     margins,
 )
-from util import random_staircase, random_subset, random_table
+from util import census_by_scan, random_staircase, random_subset, random_table
 
 
 def S(m, n, *cells):
@@ -288,6 +288,70 @@ def test_census_detects_non_basis():
     order = MonomialOrder(TableShape(3, 3))
     rows = initial_ideal_census(DIAG3, build_generators(DIAG3), order, 3)
     assert any(r.standard_count > r.fiber_count for r in rows)
+
+
+def _census_rows(s, max_degree=4, count=initial_ideal_census):
+    order = MonomialOrder(s.shape)
+    rows = count(s, build_generators(s), order, max_degree)
+    return [(r.degree, r.standard_count, r.fiber_count) for r in rows]
+
+
+def test_census_matches_scan_on_every_small_subset():
+    for m, n in ((2, 2), (2, 3), (3, 2)):
+        cells = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
+        for bits in range(1 << len(cells)):
+            s = Subset.from_cells(
+                m, n, [c for b, c in enumerate(cells) if bits >> b & 1]
+            )
+            assert _census_rows(s) == _census_rows(s, count=census_by_scan), (
+                s.to_text()
+            )
+
+
+def test_census_matches_scan_on_sampled_subsets():
+    rng = random.Random(406)
+    sample = [DIAG3, S(4, 4, (1, 1), (2, 2), (3, 3), (4, 4))]
+    sample += [random_subset(rng, 3, 3, rng.random()) for _ in range(12)]
+    sample += [random_subset(rng, 4, 4, rng.random()) for _ in range(6)]
+    unbalanced = 0
+    for s in sample:
+        rows = _census_rows(s)
+        assert rows == _census_rows(s, count=census_by_scan), s.to_text()
+        unbalanced += any(std != fib for _d, std, fib in rows)
+    assert unbalanced >= 2
+
+
+def test_census_frozen_rows_on_5x5_staircase():
+    s = Subset.from_cells(5, 5, [(i, j) for i in range(1, 6) for j in range(1, 7 - i)])
+    assert _census_rows(s) == [
+        (0, 1, 1),
+        (1, 25, 25),
+        (2, 275, 275),
+        (3, 1855, 1855),
+        (4, 9010, 9010),
+    ]
+
+
+def test_census_checks_every_degree_budget_before_counting(monkeypatch):
+    import subtoric.fibers as fibers_mod
+
+    def no_counting(*_args):
+        raise AssertionError("counted before the budget check")
+
+    monkeypatch.setattr(fibers_mod, "_independent_set_counts", no_counting)
+    monkeypatch.setattr(fibers_mod, "_margin_value_counts", no_counting)
+    s = Subset.full(1, 25)
+    with pytest.raises(BudgetError) as err:
+        initial_ideal_census(
+            s, build_generators(s), MonomialOrder(s.shape), 20, Budget(max_degree=20)
+        )
+    assert str(err.value) == "593775 degree-6 tables on 1x25 exceed budget 200000"
+
+
+def test_census_rejects_negative_degree():
+    s = Subset.full(2, 2)
+    with pytest.raises(ValueError):
+        initial_ideal_census(s, build_generators(s), MonomialOrder(s.shape), -1)
 
 
 # ------------------------------------------------------------------ walks

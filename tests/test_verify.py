@@ -130,3 +130,8 @@ def test_degree_budget_is_enforced():
         verify_subset(
             Subset.full(3, 3), 4, budget=Budget(max_tables_per_degree=50)
         )
+
+
+def test_negative_degree_bound_is_rejected():
+    with pytest.raises(ValueError):
+        verify_subset(S(3, 3, (1, 1), (1, 2), (2, 1)), -2)

@@ -1,9 +1,13 @@
-"""Shared helpers for the test suite: seeded random subsets and patterns."""
+"""Shared helpers for the test suite: seeded random subsets and patterns,
+and a table-scanning census oracle."""
 
 from __future__ import annotations
 
 import random
 
+from subtoric.binomials import MonomialOrder
+from subtoric.fibers import DEFAULT_BUDGET, CensusRow, _check_degree_budget, _margin_parts
+from subtoric.ideal import GeneratorSet
 from subtoric.tables import CellTable, PermPair, Subset
 
 
@@ -57,3 +61,32 @@ def random_table(rng: random.Random, m: int, n: int, degree: int) -> CellTable:
     for _ in range(degree):
         entries[rng.randrange(m)][rng.randrange(n)] += 1
     return CellTable.from_rows(entries)
+
+
+def census_by_scan(
+    s: Subset,
+    gens: GeneratorSet,
+    order: MonomialOrder,
+    max_degree: int = 4,
+) -> list[CensusRow]:
+    """The census by brute force: test every degree-d table against every
+    leading term, and collect the margin keys of all of them."""
+    m, n = s.shape.m, s.shape.n
+    lead_reqs = [
+        [(idx, e) for idx, e in enumerate(g.plus.flat) if e]
+        for g in gens.binomials(order)
+    ]
+    s_idx = [i * n + j for i in range(m) for j in range(n) if s.mask[i][j]]
+    rows = []
+    for d in range(max_degree + 1):
+        _check_degree_budget(s.shape, d, DEFAULT_BUDGET)
+        standard = 0
+        keys = set()
+        for flat, rsums, csums in _margin_parts(m, n, d):
+            if not any(
+                all(flat[idx] >= e for idx, e in req) for req in lead_reqs
+            ):
+                standard += 1
+            keys.add((rsums, csums, sum(flat[idx] for idx in s_idx)))
+        rows.append(CensusRow(d, standard, len(keys)))
+    return rows
