@@ -5,28 +5,33 @@ Everything here works with two-term polynomials whose coefficients are
 is represented by None.  The monomial order ranks the variables of the
 bottom table row highest, reading each row left to right and the rows
 from the bottom up; comparison is plain lex on that variable sequence.
+
+Division and Buchberger's criterion run on flat exponent tuples laid out
+in that precedence order, so comparing two monomials is comparing two
+tuples.  Each generator's leading term also carries its support as an
+int bitmask, and generators are indexed under the lowest cell of that
+support; the first divisor of a monomial is then found by scanning only
+the index lists of the cells the monomial uses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import compress
 from typing import Optional, Sequence
 
 from subtoric.tables import CellTable, PermPair, ShapeMismatchError, TableShape
 
-_KINDS = ("bottom_row_lex",)
+# A monomial as MonomialOrder.key gives it, and an oriented binomial of two.
+Key = tuple[int, ...]
+Pair = tuple[Key, Key]
 
 
 @dataclass(frozen=True)
 class MonomialOrder:
     shape: TableShape
-    kind: str = "bottom_row_lex"
 
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown order kind {self.kind!r}")
-
-    def key(self, t: CellTable) -> tuple[int, ...]:
+    def key(self, t: CellTable) -> Key:
         """Exponents in precedence order: row m first, columns ascending."""
         if t.shape != self.shape:
             raise ShapeMismatchError(f"monomial on {t.shape}, order on {self.shape}")
@@ -113,13 +118,122 @@ class ReductionStep:
         }
 
 
-def _first_divisor(
-    target: CellTable, gens: Sequence[Binomial]
-) -> Optional[int]:
-    for idx, g in enumerate(gens):
-        if g.plus.divides(target):
-            return idx
-    return None
+class _Divider:
+    """Oriented generators prepared for division on exponent tuples.
+
+    Monomials are ``MonomialOrder.key`` tuples.  For generator ``idx`` it
+    holds the leading and trailing keys, the leading term's support as a
+    bitmask, its exponents above 1 (the only ones the bitmask cannot
+    check), the nonzero entries of trailing minus leading, and, under the
+    lowest set bit of the support, ``idx`` in an ascending list.
+    """
+
+    def __init__(
+        self, gens: Sequence[Binomial], order: MonomialOrder, who: str
+    ) -> None:
+        self.order = order
+        self.lead = [order.key(g.plus) for g in gens]
+        self.trail = [order.key(g.minus) for g in gens]
+        for g, lt, tt in zip(gens, self.lead, self.trail):
+            if not lt > tt:
+                raise ValueError(f"{who} requires oriented input, got {g}")
+        size = order.shape.m * order.shape.n
+        self._cells = range(size)
+        self._bit = tuple(1 << p for p in self._cells)
+        self.bits = [self.support_bits(lt) for lt in self.lead]
+        self.support = [
+            tuple((p, e) for p, e in enumerate(lt) if e) for lt in self.lead
+        ]
+        self._high = [tuple((p, e) for p, e in sup if e > 1) for sup in self.support]
+        self._delta = [
+            tuple((p, b - a) for p, (a, b) in enumerate(zip(lt, tt)) if a != b)
+            for lt, tt in zip(self.lead, self.trail)
+        ]
+        self._by_low: list[list[int]] = [[] for _ in self._cells]
+        for idx, b in enumerate(self.bits):
+            self._by_low[(b & -b).bit_length() - 1].append(idx)
+
+    def support_bits(self, t: Key) -> int:
+        return sum(compress(self._bit, t))
+
+    def first_divisor(self, t: Key) -> Optional[int]:
+        """The smallest generator index whose leading term divides t.
+
+        A leading term lives in the list of its lowest support cell, and
+        that cell must be in t's support, so only those lists can hold a
+        divisor.  Each list is ascending, so its scan stops at the best
+        hit found so far.
+        """
+        tbits = self.support_bits(t)
+        bits, high, by_low = self.bits, self._high, self._by_low
+        best = len(bits)
+        for p in compress(self._cells, t):
+            for idx in by_low[p]:
+                if idx >= best:
+                    break
+                if not bits[idx] & ~tbits and (
+                    not high[idx] or all(t[q] >= e for q, e in high[idx])
+                ):
+                    best = idx
+                    break
+        return best if best < len(bits) else None
+
+    def rewrite(self, t: Key, idx: int) -> Key:
+        """t with generator idx's leading term replaced by its trailing term."""
+        out = list(t)
+        for p, d in self._delta[idx]:
+            out[p] += d
+        return tuple(out)
+
+    def _lifted_trail(self, i: int, j: int) -> Key:
+        """Generator j's trailing term times lcm(lead i, lead j) / lead j."""
+        lj = self.lead[j]
+        out = list(self.trail[j])
+        for p, e in self.support[i]:
+            if e > lj[p]:
+                out[p] += e - lj[p]
+        return tuple(out)
+
+    def s_pair(self, i: int, j: int) -> Optional[Pair]:
+        """The S-polynomial of generators i and j, oriented; None when it
+        collapses.  Same terms as ``s_polynomial`` on the binomials."""
+        a, b = self._lifted_trail(i, j), self._lifted_trail(j, i)
+        if a == b:
+            return None
+        return (a, b) if a > b else (b, a)
+
+    def reduce(
+        self, plus: Key, minus: Key
+    ) -> tuple[Optional[Pair], list[tuple[int, Optional[Pair]]]]:
+        """Divide the leading term until no leading term of a generator
+        divides it, then the trailing term likewise.
+
+        Returns the remainder (None when everything cancels) and the steps
+        as (generator index, oriented binomial after the step) pairs.
+        """
+        steps: list[tuple[int, Optional[Pair]]] = []
+        first, rewrite = self.first_divisor, self.rewrite
+        while (idx := first(plus)) is not None:
+            replaced = rewrite(plus, idx)
+            if replaced == minus:
+                steps.append((idx, None))
+                return None, steps
+            plus, minus = (replaced, minus) if replaced > minus else (minus, replaced)
+            steps.append((idx, (plus, minus)))
+        # Oriented generators only shrink a term, so plus stays in front.
+        while (idx := first(minus)) is not None:
+            minus = rewrite(minus, idx)
+            steps.append((idx, (plus, minus)))
+        return (plus, minus), steps
+
+    def table(self, t: Key) -> CellTable:
+        """The inverse of ``MonomialOrder.key``."""
+        n = self.order.shape.n
+        rows = [t[r : r + n] for r in range(0, len(t), n)]
+        return CellTable(self.order.shape, tuple(reversed(rows)))
+
+    def binomial(self, pair: Pair) -> Binomial:
+        return Binomial(self.table(pair[0]), self.table(pair[1]))
 
 
 def normal_form(
@@ -128,44 +242,23 @@ def normal_form(
     """Deterministic division: reduce the leading term until no generator's
     leading term divides it, then the trailing term likewise.
 
-    Generators are tried in list order, first divisor wins.  Each step
-    replaces a monomial by a strictly smaller one, so the loop ends.
-    Returns the irreducible remainder (None when everything cancels) and
-    the full step trace.
+    Generators must be oriented.  They are tried in list order, first
+    divisor wins.  Each step replaces a monomial by a strictly smaller
+    one, so the loop ends.  Returns the irreducible remainder (None when
+    everything cancels) and the full step trace.
     """
     trace: list[ReductionStep] = []
     if f is None:
         return None, trace
     _require_oriented(f, order, "normal_form")
-
-    current = f
-    while True:
-        idx = _first_divisor(current.plus, gens)
-        if idx is None:
-            break
-        g = gens[idx]
-        replaced = (current.plus // g.plus) * g.minus
-        if replaced == current.minus:
-            trace.append(ReductionStep(idx, current, None))
-            return None, trace
-        nxt = orient(Binomial(replaced, current.minus), order)
+    div = _Divider(gens, order, "normal_form")
+    _, steps = div.reduce(order.key(f.plus), order.key(f.minus))
+    current: Optional[Binomial] = f
+    for idx, after in steps:
+        nxt = None if after is None else div.binomial(after)
         trace.append(ReductionStep(idx, current, nxt))
         current = nxt
-
-    while True:
-        idx = _first_divisor(current.minus, gens)
-        if idx is None:
-            break
-        g = gens[idx]
-        replaced = (current.minus // g.plus) * g.minus
-        if replaced == current.plus:
-            trace.append(ReductionStep(idx, current, None))
-            return None, trace
-        # The rewritten trailing term only shrinks, so plus stays in front.
-        nxt = Binomial(current.plus, replaced)
-        trace.append(ReductionStep(idx, current, nxt))
-        current = nxt
-
+    # The state after the last step is the remainder.
     return current, trace
 
 
@@ -205,18 +298,21 @@ def buchberger_check(
     after a failure, so the counts are complete, and the reported
     failure is the first one in pair order.
     """
-    for g in gens:
-        _require_oriented(g, order, "buchberger_check")
+    div = _Divider(gens, order, "buchberger_check")
+    bits = div.bits
     checked = skipped = 0
     failure: Optional[BuchbergerFailure] = None
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            if gens[i].plus.coprime(gens[j].plus):
+    for i in range(len(bits)):
+        bits_i = bits[i]
+        for j in range(i + 1, len(bits)):
+            if not bits_i & bits[j]:
                 skipped += 1
                 continue
             checked += 1
-            f = s_polynomial(gens[i], gens[j], order)
-            remainder, _ = normal_form(f, gens, order)
+            f = div.s_pair(i, j)
+            if f is None:
+                continue
+            remainder, _ = div.reduce(*f)
             if remainder is not None and failure is None:
-                failure = BuchbergerFailure(i, j, remainder)
+                failure = BuchbergerFailure(i, j, div.binomial(remainder))
     return BuchbergerReport(failure is None, checked, skipped, failure)

@@ -450,6 +450,8 @@ def random_walk(
     consumed as one randrange plus one choice per step.  Visit counts
     include the start, so they total steps + 1.
     """
+    if steps < 0:
+        raise ValueError(f"walk length must be nonnegative, got {steps}")
     start_key = margins(s, start)
     pool = moves.moves
     rng = random.Random(seed)

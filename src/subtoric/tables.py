@@ -382,10 +382,25 @@ class Margins:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Margins":
-        rows = tuple(int(v) for v in data["rows"])
-        cols = tuple(int(v) for v in data["cols"])
-        s_sum = int(data["s_sum"])
-        return cls(rows, cols, s_sum, sum(rows) - s_sum)
+        """Parse a margin key, refusing one no table can have: missing or
+        non-integer fields, negative sums, or s_sum outside 0..total."""
+        if not isinstance(data, dict):
+            raise ValueError(f"margin key must be a JSON object, got {data!r}")
+        missing = [f for f in ("rows", "cols", "s_sum") if f not in data]
+        if missing:
+            raise ValueError(f"margin key lacks {', '.join(missing)}")
+        rows, cols, s_sum = data["rows"], data["cols"], data["s_sum"]
+        if not (isinstance(rows, list) and isinstance(cols, list)):
+            raise ValueError("margin key rows and cols must be lists")
+        # type() rather than isinstance(): JSON true and false are not sums.
+        if not all(type(v) is int for v in rows + cols + [s_sum]):
+            raise ValueError("margin key sums must be integers")
+        if any(v < 0 for v in rows + cols):
+            raise ValueError("margin key has a negative row or column sum")
+        total = sum(rows)
+        if not 0 <= s_sum <= total:
+            raise ValueError(f"margin key s_sum {s_sum} is outside 0..{total}")
+        return cls(tuple(rows), tuple(cols), s_sum, total - s_sum)
 
 
 def margins(subset: Subset, table: CellTable) -> Margins:

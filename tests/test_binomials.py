@@ -16,8 +16,15 @@ from subtoric.binomials import (
     orient,
     s_polynomial,
 )
+from subtoric.ideal import build_generators
 from subtoric.tables import CellTable, PermPair, Subset, TableShape, margins
-from util import random_table
+from util import (
+    buchberger_by_scan,
+    normal_form_by_scan,
+    random_staircase,
+    random_subset,
+    random_table,
+)
 
 
 def var(shape, i, j):
@@ -79,8 +86,8 @@ def test_lex_rejects_foreign_shapes():
         lex_compare(var(SH22, 1, 1), var(SH23, 1, 1), ORD22)
 
 
-def test_order_kind_is_checked():
-    with pytest.raises(ValueError):
+def test_order_takes_no_kind():
+    with pytest.raises(TypeError):
         MonomialOrder(SH22, "degrevlex")
 
 
@@ -331,3 +338,117 @@ def test_buchberger_json_round_shape():
     assert d["failure"] is None
     assert d["checked_pairs"] == report.checked_pairs
     assert d["skipped_coprime"] == report.skipped_coprime
+
+
+# ---------------------------------------------------------------- scan oracle
+
+def subset_gens(s):
+    order = MonomialOrder(s.shape)
+    return build_generators(s).binomials(order), order
+
+
+def test_buchberger_matches_scan_on_every_small_subset():
+    for m, n in ((2, 3), (3, 3)):
+        cells = TableShape(m, n).cells()
+        for mask in range(1 << len(cells)):
+            s = Subset.from_cells(
+                m, n, [c for k, c in enumerate(cells) if mask >> k & 1]
+            )
+            gens, order = subset_gens(s)
+            assert buchberger_check(gens, order) == buchberger_by_scan(gens, order), s
+
+
+def test_buchberger_matches_scan_on_sampled_subsets():
+    rng = random.Random(204)
+    outcomes = []
+    for pick in (random_subset, random_staircase) * 4:
+        m = n = rng.choice((4, 5))
+        gens, order = subset_gens(pick(rng, m, n))
+        report = buchberger_check(gens, order)
+        assert report == buchberger_by_scan(gens, order)
+        outcomes.append(report.passed)
+    assert outcomes.count(False) >= 2 and outcomes.count(True) >= 2
+
+
+def test_buchberger_matches_scan_on_7x7_staircase():
+    lengths = (6, 5, 4, 3, 2, 1, 0)
+    s = Subset.from_cells(
+        7, 7, [(i + 1, j + 1) for i, w in enumerate(lengths) for j in range(w)]
+    )
+    gens, order = subset_gens(s)
+    assert len(gens) == 245
+    report = buchberger_check(gens, order)
+    assert report.passed
+    assert report == buchberger_by_scan(gens, order)
+
+
+def test_normal_form_matches_scan_on_random_cases():
+    rng = random.Random(203)
+    sh = TableShape(3, 3)
+    order = MonomialOrder(sh)
+    compared = 0
+    for _ in range(200):
+        gens = [
+            orient(minor(sh, i, j, k, l), order)
+            for i, j, k, l in {
+                (
+                    rng.randint(1, 2),
+                    rng.randint(2, 3),
+                    rng.randint(1, 2),
+                    rng.randint(2, 3),
+                )
+                for _ in range(rng.randint(1, 4))
+            }
+            if i < j and k < l
+        ]
+        if not gens:
+            continue
+        a = random_table(rng, 3, 3, rng.randint(1, 4))
+        b = random_table(rng, 3, 3, rng.randint(1, 4))
+        if a == b:
+            continue
+        f = orient(Binomial(a, b), order)
+        # ReductionStep equality compares generator_index, before and after.
+        assert normal_form(f, gens, order) == normal_form_by_scan(f, gens, order)
+        compared += 1
+    assert compared > 100
+
+
+def test_divisor_check_reads_exponents_beyond_the_support():
+    # The leading term x21^2 has its support inside that of x12*x21*x22
+    # but does not divide it; the minor's x12*x21 does.
+    x11, x12, x21, x22 = (var(SH22, i, j) for i, j in ((1, 1), (1, 2), (2, 1), (2, 2)))
+    gens = [Binomial(x21 * x21, x22 * x22), minor(SH22, 1, 2, 1, 2)]
+    assert all(g.is_oriented(ORD22) for g in gens)
+    cases = {
+        1: Binomial(x12 * x21 * x22, x11 * x22 * x22),
+        0: Binomial(x12 * x21 * x21, x11 * x21 * x22),
+    }
+    for first, f in cases.items():
+        assert f.is_oriented(ORD22)
+        r, trace = normal_form(f, gens, ORD22)
+        assert trace[0].generator_index == first
+        assert (r, trace) == normal_form_by_scan(f, gens, ORD22)
+    assert buchberger_check(gens, ORD22) == buchberger_by_scan(gens, ORD22)
+
+
+def test_first_divisor_is_lowest_index_across_index_lists():
+    # Both leading terms divide the target.  The scan reaches the index
+    # list of x31 (bottom row) before that of x21, yet list order decides.
+    sh = TableShape(3, 3)
+    order = MonomialOrder(sh)
+    g12 = minor(sh, 1, 2, 1, 2)  # x12*x21 - x11*x22
+    g23 = minor(sh, 2, 3, 1, 2)  # x22*x31 - x21*x32
+    x11 = var(sh, 1, 1)
+    f = Binomial(g12.plus * g23.plus, x11 * x11 * x11 * x11)
+    assert f.is_oriented(order)
+    for gens in ([g12, g23], [g23, g12]):
+        r, trace = normal_form(f, gens, order)
+        assert trace[0].generator_index == 0
+        assert (r, trace) == normal_form_by_scan(f, gens, order)
+
+
+def test_normal_form_requires_oriented_generators():
+    f = orient(minor(SH23, 1, 2, 1, 2), ORD23)
+    with pytest.raises(ValueError):
+        normal_form(f, [minor(SH23, 1, 2, 2, 3).swapped()], ORD23)

@@ -233,6 +233,45 @@ def test_bad_key_json_exits_2(tmp_path):
     assert proc.returncode == 2
 
 
+def assert_one_error_line(proc):
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert [ln for ln in proc.stderr.splitlines() if ln.startswith("error: ")] == [
+        proc.stderr.splitlines()[0]
+    ]
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        "{}",
+        '{"rows":[1,1,0],"cols":[1,1,0]}',
+        '{"rows":[1,1,0],"cols":[1,1,0],"s_sum":"1"}',
+        '{"rows":[1.0,1,0],"cols":[1,1,0],"s_sum":1}',
+        '{"rows":[1,1,0],"cols":[1,1,0],"s_sum":true}',
+        '{"rows":1,"cols":[1],"s_sum":0}',
+        "[1, 2]",
+        '{"rows":[-1,1,0],"cols":[0,0,0],"s_sum":0}',
+        '{"rows":[1,1,0],"cols":[-1,3,0],"s_sum":0}',
+        '{"rows":[1,1,0],"cols":[1,1,0],"s_sum":3}',
+        '{"rows":[1,1,0],"cols":[1,1,0],"s_sum":-1}',
+    ],
+)
+def test_fiber_rejects_impossible_key(tmp_path, key):
+    proc = run_cli("fiber", "--key", key, write_subset(tmp_path, STAIR3))
+    assert_one_error_line(proc)
+
+
+def test_walk_negative_steps_exits_2(tmp_path):
+    start = tmp_path / "start.csv"
+    start.write_text("1,0\n0,1\n")
+    path = write_subset(tmp_path, "11\n11\n")
+    for extra in ((), ("--tv",)):
+        proc = run_cli("walk", "--start", str(start), "--steps", "-3", *extra, path)
+        assert_one_error_line(proc)
+
+
 def test_unknown_subcommand_exits_2():
     proc = run_cli("frobnicate")
     assert proc.returncode == 2

@@ -135,3 +135,21 @@ def test_degree_budget_is_enforced():
 def test_negative_degree_bound_is_rejected():
     with pytest.raises(ValueError):
         verify_subset(S(3, 3, (1, 1), (1, 2), (2, 1)), -2)
+
+
+def test_staircase_leading_terms_must_be_the_antidiagonals(monkeypatch):
+    # Under the bottom-row lex order the antidiagonal always leads, so the
+    # check can only trip when the generators come back the wrong way round.
+    from subtoric.ideal import GeneratorSet
+
+    original = GeneratorSet.binomials
+    monkeypatch.setattr(
+        GeneratorSet,
+        "binomials",
+        lambda self, order: [g.swapped() for g in original(self, order)],
+    )
+    with pytest.raises(
+        VerificationError,
+        match=r"leading term of \(1, 2, 1, 3\) is not the squarefree antidiagonal",
+    ):
+        verify_subset(S(3, 3, (1, 1), (1, 2), (2, 1)), 2)

@@ -1,11 +1,21 @@
 """Shared helpers for the test suite: seeded random subsets and patterns,
-and a table-scanning census oracle."""
+a table-scanning census oracle, and a division and Buchberger oracle
+that works on CellTables with a linear divisor scan."""
 
 from __future__ import annotations
 
 import random
+from typing import Optional, Sequence
 
-from subtoric.binomials import MonomialOrder
+from subtoric.binomials import (
+    Binomial,
+    BuchbergerFailure,
+    BuchbergerReport,
+    MonomialOrder,
+    ReductionStep,
+    orient,
+    s_polynomial,
+)
 from subtoric.fibers import DEFAULT_BUDGET, CensusRow, _check_degree_budget, _margin_parts
 from subtoric.ideal import GeneratorSet
 from subtoric.tables import CellTable, PermPair, Subset
@@ -90,3 +100,69 @@ def census_by_scan(
             keys.add((rsums, csums, sum(flat[idx] for idx in s_idx)))
         rows.append(CensusRow(d, standard, len(keys)))
     return rows
+
+
+def _first_divisor_by_scan(
+    target: CellTable, gens: Sequence[Binomial]
+) -> Optional[int]:
+    for idx, g in enumerate(gens):
+        if g.plus.divides(target):
+            return idx
+    return None
+
+
+def normal_form_by_scan(
+    f: Optional[Binomial], gens: Sequence[Binomial], order: MonomialOrder
+) -> tuple[Optional[Binomial], list[ReductionStep]]:
+    """Division on CellTables, trying every generator in list order for
+    each step: leading term first, then trailing term."""
+    trace: list[ReductionStep] = []
+    if f is None:
+        return None, trace
+    assert f.is_oriented(order)
+    current = f
+    while True:
+        idx = _first_divisor_by_scan(current.plus, gens)
+        if idx is None:
+            break
+        g = gens[idx]
+        replaced = (current.plus // g.plus) * g.minus
+        if replaced == current.minus:
+            trace.append(ReductionStep(idx, current, None))
+            return None, trace
+        nxt = orient(Binomial(replaced, current.minus), order)
+        trace.append(ReductionStep(idx, current, nxt))
+        current = nxt
+    while True:
+        idx = _first_divisor_by_scan(current.minus, gens)
+        if idx is None:
+            break
+        g = gens[idx]
+        replaced = (current.minus // g.plus) * g.minus
+        if replaced == current.plus:
+            trace.append(ReductionStep(idx, current, None))
+            return None, trace
+        nxt = Binomial(current.plus, replaced)
+        trace.append(ReductionStep(idx, current, nxt))
+        current = nxt
+    return current, trace
+
+
+def buchberger_by_scan(
+    gens: Sequence[Binomial], order: MonomialOrder
+) -> BuchbergerReport:
+    """Buchberger's criterion pair by pair with ``s_polynomial`` and
+    ``normal_form_by_scan``, skipping coprime leading terms."""
+    checked = skipped = 0
+    failure: Optional[BuchbergerFailure] = None
+    for i in range(len(gens)):
+        for j in range(i + 1, len(gens)):
+            if gens[i].plus.coprime(gens[j].plus):
+                skipped += 1
+                continue
+            checked += 1
+            f = s_polynomial(gens[i], gens[j], order)
+            remainder, _ = normal_form_by_scan(f, gens, order)
+            if remainder is not None and failure is None:
+                failure = BuchbergerFailure(i, j, remainder)
+    return BuchbergerReport(failure is None, checked, skipped, failure)
