@@ -22,7 +22,7 @@ from subtoric.fibers import (
     initial_ideal_census,
     random_walk,
     table_from_csv,
-    walk_vs_exact,
+    walk_tv,
 )
 from subtoric.ideal import build_generators
 from subtoric.tables import (
@@ -31,6 +31,7 @@ from subtoric.tables import (
     Subset,
     classify,
     classify_oracle,
+    margins,
 )
 from subtoric.verify import VerificationError, verify_subset
 
@@ -196,7 +197,7 @@ def _cmd_walk(args) -> int:
         f"final: {_table_inline(trace.final.entries)}",
     ]
     if args.tv:
-        tv = walk_vs_exact(s, start, moves, args.steps, args.seed)
+        tv = walk_tv(enumerate_fiber(s, margins(s, start)), trace)
         payload["tv"] = tv
         lines.append(f"tv: {tv:.6f}")
     _emit(args, "walk", payload, lines)

@@ -75,75 +75,102 @@ def enumerate_fiber(
             f"fiber degree {key.degree} exceeds budget {budget.max_degree}"
         )
 
+    size = m * n
+    inside = [int(hit) for row in s.mask for hit in row]
+    # (row, column, inside S, last in its row) per flat position.
+    cells = [(p // n, p % n, inside[p], p % n == n - 1) for p in range(size)]
+    row_rem = list(key.row_sums)
     col_rem = list(key.col_sums)
-    flat = [0] * (m * n)
+    pool_rem = [key.out_sum, key.in_sum]  # indexed by inside[p]
+    flat = [0] * size
+    top = [0] * size
     found: list[tuple[int, ...]] = []
-
-    def place(i: int, j: int, row_rem: int, in_rem: int, out_rem: int) -> None:
-        if j == n:
-            if i + 1 == m:
-                if all(c == 0 for c in col_rem) and in_rem == 0 and out_rem == 0:
-                    if len(found) >= budget.max_fiber_size:
-                        raise BudgetError(
-                            f"fiber exceeds budget size {budget.max_fiber_size}"
-                        )
-                    found.append(tuple(flat))
+    # An odometer over the cells: descending places a cell's smallest
+    # value, and coming back raises it by one until it reaches its top.
+    pos, descending = 0, True
+    while pos >= 0:
+        i, j, k, last = cells[pos]
+        if descending:
+            e = row_rem[i]
+            cap = min(e, col_rem[j], pool_rem[k])
+            if not last:
+                e = 0
+            elif e > cap:
+                # The last cell of the row is forced by the remaining row
+                # sum, and that sum does not fit.
+                pos, descending = pos - 1, False
+                continue
             else:
-                place(i + 1, 0, key.row_sums[i + 1], in_rem, out_rem)
-            return
-        pool = in_rem if s.mask[i][j] else out_rem
-        cap = min(row_rem, col_rem[j], pool)
-        if j == n - 1:
-            # Last cell of the row is forced by the remaining row sum.
-            candidates = (row_rem,) if row_rem <= cap else ()
-        else:
-            candidates = range(cap + 1)
-        for e in candidates:
-            flat[i * n + j] = e
+                cap = e
+            top[pos] = cap
+            flat[pos] = e
+            row_rem[i] -= e
             col_rem[j] -= e
-            if s.mask[i][j]:
-                place(i, j + 1, row_rem - e, in_rem - e, out_rem)
-            else:
-                place(i, j + 1, row_rem - e, in_rem, out_rem - e)
+            pool_rem[k] -= e
+        elif flat[pos] < top[pos]:
+            flat[pos] += 1
+            row_rem[i] -= 1
+            col_rem[j] -= 1
+            pool_rem[k] -= 1
+        else:
+            e = flat[pos]
+            row_rem[i] += e
             col_rem[j] += e
-            flat[i * n + j] = 0
-
-    place(0, 0, key.row_sums[0], key.in_sum, key.out_sum)
+            pool_rem[k] += e
+            flat[pos] = 0
+            pos -= 1
+            continue
+        if pos + 1 < size:
+            pos, descending = pos + 1, True
+            continue
+        if not any(col_rem) and not any(pool_rem):
+            if len(found) >= budget.max_fiber_size:
+                raise BudgetError(
+                    f"fiber exceeds budget size {budget.max_fiber_size}"
+                )
+            found.append(tuple(flat))
+        descending = False
     found.sort()
-    tables = tuple(
-        CellTable(s.shape, tuple(f[r * n : (r + 1) * n] for r in range(m)))
-        for f in found
+    return Fiber(key, tuple(_from_flat(s.shape, f) for f in found))
+
+
+def _from_flat(shape: TableShape, flat: Sequence[int]) -> CellTable:
+    """The table with the given row-major entries."""
+    n = shape.n
+    return CellTable(
+        shape, tuple(tuple(flat[r * n : (r + 1) * n]) for r in range(shape.m))
     )
-    return Fiber(key, tables)
 
 
 @lru_cache(maxsize=None)
 def _tables_of_degree(m: int, n: int, d: int) -> tuple[CellTable, ...]:
     """Every nonnegative m x n table of total sum d, ascending by flat
-    entries.  Cached; callers must budget-check first."""
+    entries.  Cached; callers must budget-check first.
+
+    The last entry is forced, so the next table raises the second-last
+    entry by one while the last is positive; otherwise it clears the
+    rightmost other positive entry, raises the one before it, and puts
+    the rest of the cleared mass on the last entry.
+    """
     shape = TableShape(m, n)
-    out: list[CellTable] = []
-    flat = [0] * (m * n)
-
-    def rec(pos: int, left: int) -> None:
-        if pos == m * n - 1:
-            flat[pos] = left
-            out.append(
-                CellTable(
-                    shape, tuple(tuple(flat[r * n : (r + 1) * n]) for r in range(m))
-                )
-            )
-            flat[pos] = 0
-            return
-        for e in range(left + 1):
-            flat[pos] = e
-            rec(pos + 1, left - e)
-            flat[pos] = 0
-
-    if m * n == 1:
-        return (CellTable(shape, ((d,),)),)
-    rec(0, d)
-    return tuple(out)
+    size = m * n
+    flat = [0] * size
+    flat[-1] = d
+    out = []
+    while True:
+        out.append(_from_flat(shape, flat))
+        if size > 1 and flat[-1]:
+            flat[-2] += 1
+            flat[-1] -= 1
+            continue
+        j = size - 2
+        while j >= 0 and not flat[j]:
+            j -= 1
+        if j <= 0:
+            return tuple(out)
+        flat[-1] = flat[j] - 1
+        flat[j] = 0
+        flat[j - 1] += 1
 
 
 @lru_cache(maxsize=None)
@@ -226,13 +253,34 @@ def apply_move(t: CellTable, q: QuadGen, sign: int) -> Optional[CellTable]:
     return CellTable(t.shape, tuple(tuple(r) for r in rows))
 
 
+_Step = tuple[tuple[int, int], tuple[int, int]]
+
+
+def _signed_steps(shape: TableShape, moves: MoveSet) -> list[tuple[_Step, _Step]]:
+    """Each move as its steps at sign +1 and -1.  A step is a pair of
+    flat (up, down) cell indices: it adds one to both up cells and takes
+    one from both down cells.  At sign +1 the diagonal goes up."""
+    n = shape.n
+    signed = []
+    for q in moves:
+        if q.j > shape.m or q.ell > n:
+            raise ValueError(f"move {q.as_tuple} does not fit in {shape}")
+        diag = tuple((i - 1) * n + j - 1 for i, j in q.diagonal_cells)
+        anti = tuple((i - 1) * n + j - 1 for i, j in q.antidiagonal_cells)
+        signed.append(((diag, anti), (anti, diag)))
+    return signed
+
+
 def fiber_components(
     fiber: Fiber, moves: MoveSet
 ) -> list[tuple[CellTable, ...]]:
     """Connected components of the fiber under the moves, largest first;
     ties broken by the smallest flat entry sequence."""
-    index = {t.flat: pos for pos, t in enumerate(fiber.tables)}
-    parent = list(range(len(fiber.tables)))
+    shape = TableShape(len(fiber.key.row_sums), len(fiber.key.col_sums))
+    steps = [step for pair in _signed_steps(shape, moves) for step in pair]
+    flats = [t.flat for t in fiber.tables]
+    index = {f: pos for pos, f in enumerate(flats)}
+    parent = list(range(len(flats)))
 
     def find(a: int) -> int:
         while parent[a] != a:
@@ -245,13 +293,15 @@ def fiber_components(
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
 
-    for pos, t in enumerate(fiber.tables):
-        for q in moves:
-            for sign in (1, -1):
-                moved = apply_move(t, q, sign)
-                if moved is None:
-                    continue
-                other = index.get(moved.flat)
+    for pos, f in enumerate(flats):
+        for (u1, u2), (d1, d2) in steps:
+            if f[d1] and f[d2]:
+                moved = list(f)
+                moved[u1] += 1
+                moved[u2] += 1
+                moved[d1] -= 1
+                moved[d2] -= 1
+                other = index.get(tuple(moved))
                 if other is not None:
                     union(pos, other)
 
@@ -426,10 +476,14 @@ def initial_ideal_census(
 
 @dataclass(frozen=True, eq=True)
 class WalkTrace:
+    """A walk's visits per table (the start included, so they total
+    steps + 1), its final table, and how many proposals it applied."""
+
     seed: int
     steps: int
     visit_counts: dict
     final: CellTable
+    accepted: int
 
     def to_json_dict(self) -> dict:
         return {
@@ -447,27 +501,52 @@ def random_walk(
     the result stays nonnegative, otherwise stay put.
 
     Identical seed and inputs give an identical trace; the generator is
-    consumed as one randrange plus one choice per step.  Visit counts
-    include the start, so they total steps + 1.
+    consumed as one randrange plus one choice per step.  Every move is
+    checked once, before the first step: it must fit the shape and meet
+    the subset as often on its diagonal as on its antidiagonal, or the
+    walk raises ValueError.
     """
     if steps < 0:
         raise ValueError(f"walk length must be nonnegative, got {steps}")
-    start_key = margins(s, start)
-    pool = moves.moves
+    if start.shape != s.shape:
+        raise ShapeMismatchError(f"shape mismatch: {s.shape} vs {start.shape}")
+    inside = [hit for row in s.mask for hit in row]
+    pool = _signed_steps(s.shape, moves)
+    for q, ((up, down), _) in zip(moves, pool):
+        if sum(inside[c] for c in up) != sum(inside[c] for c in down):
+            raise ValueError(f"move {q.as_tuple} left the fiber")
     rng = random.Random(seed)
-    counts: dict[CellTable, int] = {start: 1}
-    current = start
+    randrange, choice, count = rng.randrange, rng.choice, len(pool)
+    current = list(start.flat)
+    state = start.flat
+    counts = {state: 1}
+    accepted = 0
     for _ in range(steps):
         if pool:
-            q = pool[rng.randrange(len(pool))]
-            sign = rng.choice((1, -1))
-            moved = apply_move(current, q, sign)
-            if moved is not None:
-                if margins(s, moved) != start_key:
-                    raise ValueError(f"move {q.as_tuple} left the fiber")
-                current = moved
-        counts[current] = counts.get(current, 0) + 1
-    return WalkTrace(seed, steps, counts, current)
+            # choice() over the two signed steps draws exactly as a
+            # choice of the sign (+1, -1) would.
+            (u1, u2), (d1, d2) = choice(pool[randrange(count)])
+            if current[d1] and current[d2]:
+                current[u1] += 1
+                current[u2] += 1
+                current[d1] -= 1
+                current[d2] -= 1
+                state = tuple(current)
+                accepted += 1
+        counts[state] = counts.get(state, 0) + 1
+    visits = {_from_flat(s.shape, flat): c for flat, c in counts.items()}
+    return WalkTrace(seed, steps, visits, _from_flat(s.shape, state), accepted)
+
+
+def walk_tv(fiber: Fiber, trace: WalkTrace) -> float:
+    """Total-variation distance between the walk's empirical law and the
+    uniform law on the fiber."""
+    total = trace.steps + 1
+    target = 1.0 / fiber.size
+    return 0.5 * sum(
+        abs(trace.visit_counts.get(t, 0) / total - target)
+        for t in fiber.tables
+    )
 
 
 def walk_vs_exact(
@@ -481,13 +560,7 @@ def walk_vs_exact(
     """Total-variation distance between the walk's empirical law and the
     uniform law on the enumerated fiber of the start table."""
     fiber = enumerate_fiber(s, margins(s, start), budget)
-    trace = random_walk(s, start, moves, steps, seed)
-    total = steps + 1
-    target = 1.0 / fiber.size
-    return 0.5 * sum(
-        abs(trace.visit_counts.get(t, 0) / total - target)
-        for t in fiber.tables
-    )
+    return walk_tv(fiber, random_walk(s, start, moves, steps, seed))
 
 
 # ---------------------------------------------------------------------------

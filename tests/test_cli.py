@@ -192,6 +192,21 @@ def test_walk_reproducible_and_seed_sensitive(tmp_path):
     assert a.stdout != c.stdout
 
 
+def test_fiber_and_walk_tv_on_1x1200(tmp_path):
+    # 1200 cells is deeper than Python's default recursion limit.
+    path = write_subset(tmp_path, "1" * 1200 + "\n")
+    zero = json.dumps({"rows": [0], "cols": [0] * 1200, "s_sum": 0})
+    proc = run_cli("fiber", "--key", zero, "--json", path)
+    assert proc.returncode == 0
+    assert payload_of(proc, "fiber")["size"] == 1
+    start = tmp_path / "start.csv"
+    start.write_text(",".join(["0"] * 1200) + "\n")
+    proc = run_cli("walk", "--start", str(start), "--steps", "5", "--tv", path)
+    assert proc.returncode == 0
+    assert "distinct tables: 1\n" in proc.stdout
+    assert proc.stdout.endswith("tv: 0.000000\n")
+
+
 def test_walk_requires_start(tmp_path):
     proc = run_cli("walk", write_subset(tmp_path, "11\n11\n"))
     assert proc.returncode == 2

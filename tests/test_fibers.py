@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import pytest
 
@@ -22,9 +23,11 @@ from subtoric.fibers import (
     random_walk,
     table_from_csv,
     table_to_csv,
+    walk_tv,
     walk_vs_exact,
+    _tables_of_degree,
 )
-from subtoric.ideal import QuadGen, build_generators
+from subtoric.ideal import QuadGen, all_quads, build_generators
 from subtoric.tables import (
     BudgetError,
     CellTable,
@@ -33,7 +36,14 @@ from subtoric.tables import (
     TableShape,
     margins,
 )
-from util import census_by_scan, random_staircase, random_subset, random_table
+from util import (
+    census_by_scan,
+    fiber_components_by_apply,
+    random_staircase,
+    random_subset,
+    random_table,
+    random_walk_by_apply,
+)
 
 
 def S(m, n, *cells):
@@ -135,6 +145,19 @@ def test_fibers_of_degree_partition_everything():
         assert keys == sorted(keys)
 
 
+def test_tables_of_degree_lists_every_table_in_order():
+    for m, n, d in [(1, 1, 4), (1, 3, 2), (2, 2, 3), (2, 3, 2), (3, 1, 3)]:
+        got = [t.flat for t in _tables_of_degree(m, n, d)]
+        assert got == sorted(t.flat for t in _all_tables(m, n, d))
+
+
+def test_enumeration_is_not_limited_by_recursion_depth():
+    # 1200 cells is deeper than Python's default recursion limit.
+    s = Subset.full(1, 1200)
+    assert enumerate_fiber(s, key((0,), (0,) * 1200, 0)).size == 1
+    assert _tables_of_degree(1, 1200, 0)[0].flat == (0,) * 1200
+
+
 def test_fibers_of_degree_budget():
     with pytest.raises(BudgetError):
         fibers_of_degree(Subset.full(3, 3), 4, Budget(max_tables_per_degree=100))
@@ -182,6 +205,44 @@ def test_empty_move_set_gives_singleton_components():
     comps = fiber_components(f, MoveSet(()))
     assert len(comps) == 2
     assert all(len(c) == 1 for c in comps)
+
+
+def test_components_match_apply_oracle():
+    rng = random.Random(407)
+    disconnected = 0
+    for m in (3, 3, 3, 3, 4, 4):
+        s = random_subset(rng, m, m)
+        moves = MoveSet.from_generators(build_generators(s))
+        for d in range(4):
+            for f in fibers_of_degree(s, d):
+                comps = fiber_components(f, moves)
+                assert comps == fiber_components_by_apply(f, moves)
+                disconnected += len(comps) > 1
+    assert disconnected >= 2
+
+
+def test_moves_must_fit_the_shape():
+    # (1,2,1,3) needs a third column; a flat index would land in row 2.
+    s = Subset.full(2, 2)
+    start = CellTable.from_rows([[1, 0], [0, 1]])
+    moves = MoveSet((QuadGen(1, 2, 1, 3),))
+    with pytest.raises(ValueError, match="does not fit"):
+        random_walk(s, start, moves, 10, seed=1)
+    f = enumerate_fiber(s, key((1, 1), (1, 1), 2))
+    with pytest.raises(ValueError, match="does not fit"):
+        fiber_components(f, moves)
+
+
+def test_walk_rejects_a_move_off_the_fiber_before_walking():
+    s = S(3, 3, (1, 1), (1, 2), (2, 1))
+    kept = build_generators(s)
+    bad = next(q for q in all_quads(s.shape) if q not in kept)
+    moves = MoveSet(tuple(kept) + (bad,))
+    start = CellTable.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    message = re.escape(f"move {bad.as_tuple} left the fiber")
+    for steps in (0, 100):
+        with pytest.raises(ValueError, match=message):
+            random_walk(s, start, moves, steps, seed=0)
 
 
 def test_components_sorted_largest_first():
@@ -403,6 +464,35 @@ def test_walk_with_no_moves_stays_put():
     start = CellTable.from_rows([[1, 0], [0, 1]])
     tr = random_walk(Subset.full(2, 2), start, MoveSet(()), 50, seed=1)
     assert tr.visit_counts == {start: 51}
+    assert tr.accepted == 0
+
+
+def test_walk_counts_accepted_proposals():
+    # Two tables, one move: exactly one sign applies at each step.
+    start = CellTable.from_rows([[1, 0], [0, 1]])
+    moves = MoveSet((QuadGen(1, 2, 1, 2),))
+    tr = random_walk(Subset.full(2, 2), start, moves, 10_000, seed=11)
+    assert abs(tr.accepted / 10_000 - 0.5) < 0.05
+    assert "accepted" not in tr.to_json_dict()
+    assert random_walk(Subset.full(2, 2), start, moves, 0, seed=11).accepted == 0
+
+
+def test_walk_matches_apply_oracle():
+    rng = random.Random(408)
+    full4 = CellTable.from_rows(
+        [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]]
+    )
+    cases = [(Subset.full(4, 4), full4)]
+    for pick in (random_subset, random_staircase) * 8:
+        m, n = rng.randint(2, 5), rng.randint(2, 5)
+        cases.append((pick(rng, m, n), random_table(rng, m, n, rng.randint(2, 6))))
+    for s, start in cases:
+        moves = MoveSet.from_generators(build_generators(s))
+        for seed in (0, 1, 2):
+            tr = random_walk(s, start, moves, 400, seed)
+            expected = random_walk_by_apply(s, start, moves, 400, seed)
+            assert tr == expected
+            assert list(tr.visit_counts) == list(expected.visit_counts)
 
 
 def test_walk_vs_exact_mixes_on_two_table_fiber():
@@ -417,6 +507,15 @@ def test_walk_vs_exact_zero_steps_point_mass():
     moves = MoveSet((QuadGen(1, 2, 1, 2),))
     tv = walk_vs_exact(Subset.full(2, 2), start, moves, 0, seed=3)
     assert tv == pytest.approx(1 - 1 / 2)
+
+
+def test_walk_tv_scores_the_given_trace():
+    start = CellTable.from_rows([[1, 0], [0, 1]])
+    s = Subset.full(2, 2)
+    moves = MoveSet((QuadGen(1, 2, 1, 2),))
+    trace = random_walk(s, start, moves, 777, seed=4)
+    fiber = enumerate_fiber(s, margins(s, start))
+    assert walk_tv(fiber, trace) == walk_vs_exact(s, start, moves, 777, seed=4)
 
 
 def test_walk_vs_exact_trapped_when_moves_missing():

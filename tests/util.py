@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: seeded random subsets and patterns,
-a table-scanning census oracle, and a division and Buchberger oracle
-that works on CellTables with a linear divisor scan."""
+a table-scanning census oracle, a division and Buchberger oracle that
+works on CellTables with a linear divisor scan, and walk and component
+oracles that move CellTables one ``apply_move`` at a time."""
 
 from __future__ import annotations
 
@@ -16,9 +17,18 @@ from subtoric.binomials import (
     orient,
     s_polynomial,
 )
-from subtoric.fibers import DEFAULT_BUDGET, CensusRow, _check_degree_budget, _margin_parts
+from subtoric.fibers import (
+    DEFAULT_BUDGET,
+    CensusRow,
+    Fiber,
+    MoveSet,
+    WalkTrace,
+    _check_degree_budget,
+    _margin_parts,
+    apply_move,
+)
 from subtoric.ideal import GeneratorSet
-from subtoric.tables import CellTable, PermPair, Subset
+from subtoric.tables import CellTable, PermPair, Subset, margins
 
 
 def random_subset(rng: random.Random, m: int, n: int, p: float = 0.5) -> Subset:
@@ -166,3 +176,63 @@ def buchberger_by_scan(
             if remainder is not None and failure is None:
                 failure = BuchbergerFailure(i, j, remainder)
     return BuchbergerReport(failure is None, checked, skipped, failure)
+
+
+def random_walk_by_apply(
+    s: Subset, start: CellTable, moves: MoveSet, steps: int, seed: int
+) -> WalkTrace:
+    """The lazy walk on CellTables: ``apply_move`` per proposal and a
+    margin re-check after every applied move, drawing one randrange and
+    one choice of sign per step."""
+    start_key = margins(s, start)
+    pool = moves.moves
+    rng = random.Random(seed)
+    counts: dict[CellTable, int] = {start: 1}
+    current = start
+    accepted = 0
+    for _ in range(steps):
+        if pool:
+            q = pool[rng.randrange(len(pool))]
+            sign = rng.choice((1, -1))
+            moved = apply_move(current, q, sign)
+            if moved is not None:
+                if margins(s, moved) != start_key:
+                    raise ValueError(f"move {q.as_tuple} left the fiber")
+                current = moved
+                accepted += 1
+        counts[current] = counts.get(current, 0) + 1
+    return WalkTrace(seed, steps, counts, current, accepted)
+
+
+def fiber_components_by_apply(
+    fiber: Fiber, moves: MoveSet
+) -> list[tuple[CellTable, ...]]:
+    """Components by ``apply_move`` on every table, move and sign, joined
+    by union-find; largest first, ties by the smallest flat entries."""
+    index = {t.flat: pos for pos, t in enumerate(fiber.tables)}
+    parent = list(range(len(fiber.tables)))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for pos, t in enumerate(fiber.tables):
+        for q in moves:
+            for sign in (1, -1):
+                moved = apply_move(t, q, sign)
+                if moved is None:
+                    continue
+                other = index.get(moved.flat)
+                if other is not None:
+                    ra, rb = find(pos), find(other)
+                    if ra != rb:
+                        parent[max(ra, rb)] = min(ra, rb)
+
+    buckets: dict[int, list[CellTable]] = {}
+    for pos, t in enumerate(fiber.tables):
+        buckets.setdefault(find(pos), []).append(t)
+    comps = [tuple(ts) for ts in buckets.values()]
+    comps.sort(key=lambda c: (-len(c), c[0].flat))
+    return comps
