@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from subtoric.binomials import MonomialOrder, buchberger_check
@@ -230,7 +231,9 @@ _HANDLERS = {
 }
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="subtoric",
         description="Classify subset patterns of two-way tables and certify "

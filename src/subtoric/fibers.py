@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from subtoric.binomials import MonomialOrder
 from subtoric.ideal import GeneratorSet, QuadGen
@@ -181,8 +181,8 @@ def _margin_parts(
     sum is the only margin component that depends on S."""
     parts = []
     for t in _tables_of_degree(m, n, d):
-        rows = tuple(sum(r) for r in t.entries)
-        cols = tuple(sum(t.entries[i][j] for i in range(m)) for j in range(n))
+        rows = tuple(map(sum, t.entries))
+        cols = tuple(map(sum, zip(*t.entries)))
         parts.append((t.flat, rows, cols))
     return tuple(parts)
 
@@ -208,7 +208,7 @@ def fibers_of_degree(
     groups: dict[tuple, list[CellTable]] = {}
     tables = _tables_of_degree(m, n, d)
     for t, (flat, rows, cols) in zip(tables, _margin_parts(m, n, d)):
-        in_sum = sum(flat[idx] for idx in s_idx)
+        in_sum = sum(map(flat.__getitem__, s_idx))
         groups.setdefault((rows, cols, in_sum), []).append(t)
     out = []
     for rows, cols, in_sum in sorted(groups):
@@ -254,9 +254,10 @@ def apply_move(t: CellTable, q: QuadGen, sign: int) -> Optional[CellTable]:
 
 
 _Step = tuple[tuple[int, int], tuple[int, int]]
+_Signed = tuple[_Step, _Step]
 
 
-def _signed_steps(shape: TableShape, moves: MoveSet) -> list[tuple[_Step, _Step]]:
+def _signed_steps(shape: TableShape, moves: Iterable[QuadGen]) -> list[_Signed]:
     """Each move as its steps at sign +1 and -1.  A step is a pair of
     flat (up, down) cell indices: it adds one to both up cells and takes
     one from both down cells.  At sign +1 the diagonal goes up."""
@@ -277,7 +278,11 @@ def fiber_components(
     """Connected components of the fiber under the moves, largest first;
     ties broken by the smallest flat entry sequence."""
     shape = TableShape(len(fiber.key.row_sums), len(fiber.key.col_sums))
-    steps = [step for pair in _signed_steps(shape, moves) for step in pair]
+    return _components(fiber, _signed_steps(shape, moves))
+
+
+def _components(fiber: Fiber, signed: list[_Signed]) -> list[tuple[CellTable, ...]]:
+    steps = [step for pair in signed for step in pair]
     flats = [t.flat for t in fiber.tables]
     index = {f: pos for pos, f in enumerate(flats)}
     parent = list(range(len(flats)))
@@ -336,14 +341,17 @@ def generation_check(
     """Are all fibers of degree <= max_degree connected under the moves?
 
     Fails with the first disconnected fiber, scanning degrees upward and
-    fibers in margin-key order.
+    fibers in margin-key order; the moves are laid out at the first
+    fiber of more than one table.
     """
-    moves = MoveSet.from_generators(gens)
+    steps = None
     for d in range(max_degree + 1):
         for fiber in fibers_of_degree(s, d, budget):
             if fiber.size == 1:
                 continue
-            if len(fiber_components(fiber, moves)) > 1:
+            if steps is None:
+                steps = _signed_steps(s.shape, gens)
+            if len(_components(fiber, steps)) > 1:
                 return GenerationCheck(False, max_degree, fiber)
     return GenerationCheck(True, max_degree, None)
 
@@ -399,17 +407,21 @@ def _independent_set_counts(adjacent: Sequence[int], size: int) -> list[int]:
     return counts
 
 
-def _margin_value_counts(s: Subset, size: int) -> list[int]:
-    """Number of distinct margin values of degree d, for d = 0..size.
+def _margin_value_counts(masks: Sequence[Subset], size: int) -> list[int]:
+    """Number of distinct values of degree d, for d = 0..size, of the map
+    sending a table to its row sums, column sums and its sum over each of
+    the masks (all on one shape).
 
-    Each cell becomes one integer packing its row, column and subset
-    indicator in base size + 1, so no field carries and a sum of d cells
-    packs exactly the margins of the degree-d table they form.
+    Each cell becomes one integer packing its row, column and one
+    indicator per mask in base size + 1, so no field carries and a sum of
+    d cells packs exactly the value of the degree-d table they form.
     """
-    m, n = s.shape.m, s.shape.n
+    m, n = masks[0].shape.m, masks[0].shape.n
     base = size + 1
     cells = [
-        base**i + base ** (m + j) + (base ** (m + n) if s.mask[i][j] else 0)
+        base**i
+        + base ** (m + j)
+        + sum(base ** (m + n + k) for k, s in enumerate(masks) if s.mask[i][j])
         for i in range(m)
         for j in range(n)
     ]
@@ -419,6 +431,23 @@ def _margin_value_counts(s: Subset, size: int) -> list[int]:
         reach = {p + c for p in reach for c in cells}
         counts.append(len(reach))
     return counts
+
+
+def same_fibers(
+    a: Subset, b: Subset, max_degree: int, budget: Budget = DEFAULT_BUDGET
+) -> bool:
+    """Do the sums over a and over b split the tables of every degree up
+    to max_degree into the same fibers?  Two maps give one partition
+    exactly when each has as many values as the pair of them, so three
+    sumset counts decide, taken after every degree's budget check."""
+    if a.shape != b.shape:
+        raise ShapeMismatchError(f"subsets on {a.shape} and {b.shape}")
+    for d in range(max_degree + 1):
+        _check_degree_budget(a.shape, d, budget)
+    one, other, both = (
+        _margin_value_counts(masks, max_degree) for masks in ((a,), (b,), (a, b))
+    )
+    return one == other == both
 
 
 def initial_ideal_census(
@@ -447,6 +476,10 @@ def initial_ideal_census(
 
     with each cell packed as one integer (see _margin_value_counts).
 
+    Each leading term is read off its move unexpanded: the order reads
+    the bottom row first and each row from the left, and in a move's
+    lower row the antidiagonal cell is the left one, so it leads.
+
     The table budget still applies: every degree is checked before any
     counting, and the first one over budget raises BudgetError.
     """
@@ -454,13 +487,14 @@ def initial_ideal_census(
         raise ValueError(f"degree bound must be nonnegative, got {max_degree}")
     for d in range(max_degree + 1):
         _check_degree_budget(s.shape, d, budget)
+    if order.shape != s.shape:
+        raise ShapeMismatchError(f"subset on {s.shape}, order on {order.shape}")
     adjacent = [0] * (s.shape.m * s.shape.n)
-    for g in gens.binomials(order):
-        a, b = (idx for idx, e in enumerate(g.plus.flat) if e)
+    for (_, (a, b)), _ in _signed_steps(s.shape, gens):
         adjacent[a] |= 1 << b
         adjacent[b] |= 1 << a
     supports = _independent_set_counts(adjacent, max_degree)
-    fibers = _margin_value_counts(s, max_degree)
+    fibers = _margin_value_counts((s,), max_degree)
     rows = [CensusRow(0, 1, fibers[0])]
     for d in range(1, max_degree + 1):
         standard = sum(

@@ -12,7 +12,7 @@ reduction of a block-diagonal pattern to its top-left block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 from subtoric.binomials import Binomial, MonomialOrder, orient
 from subtoric.tables import (
@@ -56,10 +56,14 @@ class QuadGen:
         """The move as a binomial: antidiagonal product minus diagonal."""
         if self.j > shape.m or self.ell > shape.n:
             raise ValueError(f"{self.as_tuple} does not fit in {shape}")
-        (a1, a2), (d1, d2) = self.antidiagonal_cells, self.diagonal_cells
-        anti = CellTable.variable(shape, *a1) * CellTable.variable(shape, *a2)
-        diag = CellTable.variable(shape, *d1) * CellTable.variable(shape, *d2)
-        return Binomial(anti, diag)
+        sides = []
+        for cells in (self.antidiagonal_cells, self.diagonal_cells):
+            # Rows left at zero share one tuple.
+            rows = [(0,) * shape.n] * shape.m
+            for i, j in cells:
+                rows[i - 1] = rows[i - 1][: j - 1] + (1,) + rows[i - 1][j:]
+            sides.append(CellTable(shape, tuple(rows)))
+        return Binomial(*sides)
 
 
 def all_quads(shape: TableShape) -> list[QuadGen]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import chain, permutations
 from typing import Iterable, Optional, Sequence
 
 
@@ -230,11 +230,10 @@ class CellTable:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if len(self.entries) != self.shape.m or any(
-            len(row) != self.shape.n for row in self.entries
-        ):
+        m, n = self.shape.m, self.shape.n
+        if len(self.entries) != m or {*map(len, self.entries)} != {n}:
             raise ValueError("entry dimensions do not match shape")
-        if any(e < 0 for row in self.entries for e in row):
+        if min(map(min, self.entries)) < 0:
             raise ValueError("exponents must be nonnegative")
 
     @classmethod
@@ -259,7 +258,7 @@ class CellTable:
     @property
     def flat(self) -> tuple[int, ...]:
         """Row-major flattening, handy as a dict key."""
-        return tuple(e for row in self.entries for e in row)
+        return tuple(chain.from_iterable(self.entries))
 
     def entry(self, i: int, j: int) -> int:
         return self.entries[i - 1][j - 1]

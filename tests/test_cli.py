@@ -320,3 +320,18 @@ def test_timing_goes_to_stderr_not_stdout(tmp_path):
     proc = run_cli("classify", "--json", write_subset(tmp_path, STAIR3))
     assert "elapsed" not in proc.stdout
     assert "elapsed" in proc.stderr
+
+
+def test_main_builds_one_parser_and_keeps_usage_errors(tmp_path, capsys):
+    from subtoric import cli
+
+    path = write_subset(tmp_path, STAIR3)
+    for _ in range(2):
+        assert cli.main(["classify", path]) == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage: subtoric verify [-h] [--json] [--degree DEGREE] subset" in err
+        assert "error: the following arguments are required: subset" in err
+    assert cli.build_parser() is cli.build_parser()

@@ -21,6 +21,7 @@ from subtoric.fibers import (
     generation_check,
     initial_ideal_census,
     random_walk,
+    same_fibers,
     table_from_csv,
     table_to_csv,
     walk_tv,
@@ -32,13 +33,17 @@ from subtoric.tables import (
     BudgetError,
     CellTable,
     Margins,
+    ShapeMismatchError,
     Subset,
     TableShape,
+    block_pattern,
     margins,
 )
 from util import (
     census_by_scan,
     fiber_components_by_apply,
+    partition_of_degree,
+    random_perm_pair,
     random_staircase,
     random_subset,
     random_table,
@@ -283,6 +288,36 @@ def test_generation_check_degree_one_vacuous():
         assert generation_check(s, build_generators(s), 1).passed
 
 
+def test_generation_check_lays_out_the_moves_once(monkeypatch):
+    import subtoric.fibers as fibers_mod
+
+    calls = []
+    original = fibers_mod._signed_steps
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(fibers_mod, "_signed_steps", counted)
+    for s, passed in ((Subset.full(3, 3), True), (DIAG3, False)):
+        calls.clear()
+        assert generation_check(s, build_generators(s), 4).passed == passed
+        assert len(calls) == 1
+    calls.clear()
+    assert generation_check(DIAG3, build_generators(DIAG3), 1).passed
+    assert calls == []
+
+
+def test_generation_check_rejects_a_misfit_move_at_the_first_shared_fiber():
+    # Degree-1 fibers are single tables, so the misfit only shows from
+    # degree 2 on, where the first fiber with two tables lays out the moves.
+    s = Subset.full(2, 2)
+    gens = build_generators(Subset.full(3, 3))
+    assert generation_check(s, gens, 1).passed
+    with pytest.raises(ValueError, match="does not fit"):
+        generation_check(s, gens, 2)
+
+
 def test_connected_fibers_mirror_reduction_to_zero():
     # Cross-check: inside a connected fiber, any two tables differ by a
     # binomial the certified basis reduces to zero.
@@ -409,10 +444,92 @@ def test_census_checks_every_degree_budget_before_counting(monkeypatch):
     assert str(err.value) == "593775 degree-6 tables on 1x25 exceed budget 200000"
 
 
+def test_census_rejects_an_order_on_another_shape():
+    for s in (Subset.full(2, 2), DIAG3):
+        for shape in (TableShape(2, 3), TableShape(4, 4)):
+            with pytest.raises(ShapeMismatchError):
+                initial_ideal_census(
+                    s, build_generators(s), MonomialOrder(shape), 2
+                )
+
+
 def test_census_rejects_negative_degree():
     s = Subset.full(2, 2)
     with pytest.raises(ValueError):
         initial_ideal_census(s, build_generators(s), MonomialOrder(s.shape), -1)
+
+
+# --------------------------------------------------- fiber partitions
+
+def _listing_says_same(a, b, max_degree):
+    return all(
+        partition_of_degree(a, d) == partition_of_degree(b, d)
+        for d in range(max_degree + 1)
+    )
+
+
+def _all_subsets(m, n):
+    cells = TableShape(m, n).cells()
+    return [
+        Subset.from_cells(m, n, [c for b, c in enumerate(cells) if bits >> b & 1])
+        for bits in range(1 << len(cells))
+    ]
+
+
+def test_same_fibers_matches_listing_on_every_small_pair():
+    for m, n in ((2, 2), (2, 3)):
+        subsets = _all_subsets(m, n)
+        listed = {
+            s: [partition_of_degree(s, d) for d in range(5)] for s in subsets
+        }
+        verdicts = []
+        for x, a in enumerate(subsets):
+            for b in subsets[x + 1 :]:
+                verdicts.append(same_fibers(a, b, 4))
+                assert verdicts[-1] == (listed[a] == listed[b]), (a.cells, b.cells)
+        assert verdicts.count(True) >= 2 and verdicts.count(False) >= 2
+
+
+def test_same_fibers_matches_listing_on_sampled_pairs():
+    rng = random.Random(408)
+    pairs = []
+    for _ in range(24):
+        m, n = 3, rng.choice((3, 4))
+        a = random_subset(rng, m, n, rng.random())
+        kind = rng.choice(("random", "complement", "row", "block"))
+        if kind == "random":
+            b = random_subset(rng, m, n, rng.random())
+        elif kind == "complement":
+            b = Subset.from_cells(m, n, [c for c in a.shape.cells() if c not in a])
+        elif kind == "row":
+            i = rng.randint(1, m)
+            b = Subset.from_cells(m, n, a.cells + tuple((i, j) for j in range(1, n + 1)))
+        else:
+            r, c = rng.randint(0, m), rng.randint(0, n)
+            a = block_pattern(a.shape, r, c).permuted(random_perm_pair(rng, m, n))
+            b = block_pattern(a.shape, r, c)
+        pairs.append((a, b))
+    verdicts = [same_fibers(a, b, 4) for a, b in pairs]
+    assert verdicts == [_listing_says_same(a, b, 4) for a, b in pairs]
+    assert verdicts.count(True) >= 2 and verdicts.count(False) >= 2
+
+
+def test_same_fibers_checks_every_degree_budget_before_counting(monkeypatch):
+    import subtoric.fibers as fibers_mod
+
+    def no_counting(*_args):
+        raise AssertionError("counted before the budget check")
+
+    monkeypatch.setattr(fibers_mod, "_margin_value_counts", no_counting)
+    s = Subset.full(3, 3)
+    with pytest.raises(BudgetError) as err:
+        same_fibers(s, DIAG3, 4, Budget(max_tables_per_degree=50))
+    assert str(err.value) == "165 degree-3 tables on 3x3 exceed budget 50"
+
+
+def test_same_fibers_needs_one_shape():
+    with pytest.raises(ShapeMismatchError):
+        same_fibers(Subset.full(2, 2), Subset.full(2, 3), 2)
 
 
 # ------------------------------------------------------------------ walks

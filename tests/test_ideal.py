@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from subtoric.binomials import MonomialOrder, buchberger_check, lex_compare
+from subtoric.binomials import MonomialOrder, buchberger_check, lex_compare, orient
 from subtoric.ideal import (
     GeneratorSet,
     QuadGen,
@@ -26,7 +26,13 @@ from subtoric.tables import (
     is_triangular_in_place,
     margins,
 )
-from util import random_perm_pair, random_staircase, random_subset, staircases
+from util import (
+    expand_by_variables,
+    random_perm_pair,
+    random_staircase,
+    random_subset,
+    staircases,
+)
 
 
 def S(m, n, *cells):
@@ -48,6 +54,39 @@ def test_quad_expansion_is_the_minor_binomial():
     assert g.plus.support_cells == ((1, 3), (2, 1))
     assert g.minus.support_cells == ((1, 1), (2, 3))
     assert g.plus.is_squarefree and g.minus.is_squarefree
+
+
+def test_expansion_matches_products_of_variables():
+    for m in range(1, 5):
+        for n in range(1, 6):
+            shape = TableShape(m, n)
+            for q in all_quads(shape):
+                assert q.expand(shape) == expand_by_variables(q, shape), q
+
+
+def test_antidiagonal_leads_under_the_order_on_every_quad():
+    # The census reads leading terms off the moves on this fact alone.
+    checked = 0
+    for m in range(2, 8):
+        for n in range(2, 8):
+            shape = TableShape(m, n)
+            order = MonomialOrder(shape)
+            for q in all_quads(shape):
+                lead = orient(q.expand(shape), order).plus
+                assert lead.support_cells == q.antidiagonal_cells, (shape, q)
+                checked += 1
+    assert checked == sum(
+        (m * (m - 1) // 2) * (n * (n - 1) // 2)
+        for m in range(2, 8)
+        for n in range(2, 8)
+    )
+
+
+def test_expansion_rejects_a_quad_outside_the_shape():
+    with pytest.raises(ValueError, match="does not fit"):
+        QuadGen(1, 2, 1, 3).expand(TableShape(2, 2))
+    with pytest.raises(ValueError, match="does not fit"):
+        QuadGen(1, 3, 1, 2).expand(TableShape(2, 2))
 
 
 def test_all_quads_count_and_order():

@@ -132,6 +132,20 @@ def test_degree_budget_is_enforced():
         )
 
 
+def test_block_reduction_checks_the_table_budget_before_counting(monkeypatch):
+    import subtoric.fibers as fibers_mod
+
+    def no_counting(*_args):
+        raise AssertionError("counted before the budget check")
+
+    monkeypatch.setattr(fibers_mod, "_margin_value_counts", no_counting)
+    # Not a staircase, so the block branch is the first to meet the budget.
+    s = block_pattern(TableShape(4, 4), 2, 2)
+    with pytest.raises(BudgetError) as err:
+        verify_subset(s, 4, budget=Budget(max_tables_per_degree=50))
+    assert str(err.value) == "136 degree-2 tables on 4x4 exceed budget 50"
+
+
 def test_negative_degree_bound_is_rejected():
     with pytest.raises(ValueError):
         verify_subset(S(3, 3, (1, 1), (1, 2), (2, 1)), -2)

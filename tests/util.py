@@ -1,7 +1,8 @@
 """Shared helpers for the test suite: seeded random subsets and patterns,
-a table-scanning census oracle, a division and Buchberger oracle that
-works on CellTables with a linear divisor scan, and walk and component
-oracles that move CellTables one ``apply_move`` at a time."""
+a table-scanning census oracle, a fiber-listing partition oracle, a move
+expansion by products of cell variables, a division and Buchberger
+oracle that works on CellTables with a linear divisor scan, and walk and
+component oracles that move CellTables one ``apply_move`` at a time."""
 
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from subtoric.binomials import (
 )
 from subtoric.fibers import (
     DEFAULT_BUDGET,
+    Budget,
     CensusRow,
     Fiber,
     MoveSet,
@@ -26,9 +28,10 @@ from subtoric.fibers import (
     _check_degree_budget,
     _margin_parts,
     apply_move,
+    fibers_of_degree,
 )
-from subtoric.ideal import GeneratorSet
-from subtoric.tables import CellTable, PermPair, Subset, margins
+from subtoric.ideal import GeneratorSet, QuadGen
+from subtoric.tables import CellTable, PermPair, Subset, TableShape, margins
 
 
 def random_subset(rng: random.Random, m: int, n: int, p: float = 0.5) -> Subset:
@@ -110,6 +113,26 @@ def census_by_scan(
             keys.add((rsums, csums, sum(flat[idx] for idx in s_idx)))
         rows.append(CensusRow(d, standard, len(keys)))
     return rows
+
+
+def partition_of_degree(
+    s: Subset, d: int, budget: Budget = DEFAULT_BUDGET
+) -> list[tuple]:
+    """The fibers of degree d as sorted lists of flat tables, by listing
+    every degree-d table; two subsets split the tables alike exactly
+    when these agree."""
+    return sorted(
+        tuple(t.flat for t in f.tables) for f in fibers_of_degree(s, d, budget)
+    )
+
+
+def expand_by_variables(q: QuadGen, shape: TableShape) -> Binomial:
+    """The move as antidiagonal minus diagonal, each side a product of
+    two ``CellTable.variable`` monomials."""
+    (a1, a2), (d1, d2) = q.antidiagonal_cells, q.diagonal_cells
+    anti = CellTable.variable(shape, *a1) * CellTable.variable(shape, *a2)
+    diag = CellTable.variable(shape, *d1) * CellTable.variable(shape, *d2)
+    return Binomial(anti, diag)
 
 
 def _first_divisor_by_scan(
