@@ -282,8 +282,19 @@ def fiber_components(
 
 
 def _components(fiber: Fiber, signed: list[_Signed]) -> list[tuple[CellTable, ...]]:
+    buckets: dict[int, list[CellTable]] = {}
+    roots = _component_roots([t.flat for t in fiber.tables], signed)
+    for root, t in zip(roots, fiber.tables):
+        buckets.setdefault(root, []).append(t)
+    comps = [tuple(ts) for ts in buckets.values()]
+    comps.sort(key=lambda c: (-len(c), c[0].flat))
+    return comps
+
+
+def _component_roots(flats: Sequence[tuple[int, ...]], signed: list[_Signed]) -> list[int]:
+    """Union-find over flat tables of one fiber: for each table, the
+    position of the first table in its component under the steps."""
     steps = [step for pair in signed for step in pair]
-    flats = [t.flat for t in fiber.tables]
     index = {f: pos for pos, f in enumerate(flats)}
     parent = list(range(len(flats)))
 
@@ -292,11 +303,6 @@ def _components(fiber: Fiber, signed: list[_Signed]) -> list[tuple[CellTable, ..
             parent[a] = parent[parent[a]]
             a = parent[a]
         return a
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
 
     for pos, f in enumerate(flats):
         for (u1, u2), (d1, d2) in steps:
@@ -308,14 +314,10 @@ def _components(fiber: Fiber, signed: list[_Signed]) -> list[tuple[CellTable, ..
                 moved[d2] -= 1
                 other = index.get(tuple(moved))
                 if other is not None:
-                    union(pos, other)
-
-    buckets: dict[int, list[CellTable]] = {}
-    for pos, t in enumerate(fiber.tables):
-        buckets.setdefault(find(pos), []).append(t)
-    comps = [tuple(ts) for ts in buckets.values()]
-    comps.sort(key=lambda c: (-len(c), c[0].flat))
-    return comps
+                    ra, rb = find(pos), find(other)
+                    if ra != rb:
+                        parent[max(ra, rb)] = min(ra, rb)
+    return [find(pos) for pos in range(len(flats))]
 
 
 @dataclass(frozen=True)
@@ -342,18 +344,46 @@ def generation_check(
 
     Fails with the first disconnected fiber, scanning degrees upward and
     fibers in margin-key order; the moves are laid out at the first
-    fiber of more than one table.
+    fiber of more than one table.  Fibers stay flat tuples, split out of
+    the shared (row sums, column sums) classes by their subset sum, and
+    only the witness is built as CellTables.
     """
+    m, n = s.shape.m, s.shape.n
+    s_idx = [i * n + j for i in range(m) for j in range(n) if s.mask[i][j]]
     steps = None
     for d in range(max_degree + 1):
-        for fiber in fibers_of_degree(s, d, budget):
-            if fiber.size == 1:
-                continue
-            if steps is None:
-                steps = _signed_steps(s.shape, gens)
-            if len(_components(fiber, steps)) > 1:
-                return GenerationCheck(False, max_degree, fiber)
+        _check_degree_budget(s.shape, d, budget)
+        for rows, cols, flats in _margin_classes(m, n, d):
+            fibers: dict[int, list[tuple[int, ...]]] = {}
+            for f in flats:
+                fibers.setdefault(sum(map(f.__getitem__, s_idx)), []).append(f)
+            for in_sum in sorted(fibers):
+                fiber = fibers[in_sum]
+                if len(fiber) == 1:
+                    continue
+                if steps is None:
+                    steps = _signed_steps(s.shape, gens)
+                if any(_component_roots(fiber, steps)):
+                    key = Margins(rows, cols, in_sum, d - in_sum)
+                    tables = tuple(_from_flat(s.shape, f) for f in fiber)
+                    return GenerationCheck(False, max_degree, Fiber(key, tables))
     return GenerationCheck(True, max_degree, None)
+
+
+@lru_cache(maxsize=None)
+def _margin_classes(m: int, n: int, d: int) -> tuple[tuple[tuple, tuple, tuple], ...]:
+    """(row_sums, col_sums, flats) for every pair of row and column sums
+    that at least two degree-d tables share, in key order, each class's
+    flat tables ascending.  Every fiber of degree d is one class split
+    by its subset sum.  Cached; callers must budget-check first."""
+    classes: dict[tuple, list[tuple[int, ...]]] = {}
+    for flat, rows, cols in _margin_parts(m, n, d):
+        classes.setdefault((rows, cols), []).append(flat)
+    return tuple(
+        (rows, cols, tuple(flats))
+        for (rows, cols), flats in sorted(classes.items())
+        if len(flats) > 1
+    )
 
 
 # ---------------------------------------------------------------------------

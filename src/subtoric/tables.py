@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import chain, permutations
+from operator import getitem
 from typing import Iterable, Optional, Sequence
 
 
@@ -165,13 +166,19 @@ class Subset:
 
     @classmethod
     def from_json(cls, data) -> "Subset":
+        """Parse {"m": int, "n": int, "cells": [[i, j], ...]}, 1-based;
+        strings, floats and booleans are not integers here."""
         if isinstance(data, (str, bytes)):
             data = json.loads(data)
         try:
-            m, n = int(data["m"]), int(data["n"])
-            cells = [(int(i), int(j)) for i, j in data["cells"]]
+            m, n, cells = data["m"], data["n"], [tuple(c) for c in data["cells"]]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed subset JSON: {exc}") from exc
+        # type() rather than isinstance(): JSON true and false are not indices.
+        if any(len(c) != 2 for c in cells) or not all(
+            type(v) is int for v in [m, n, *chain.from_iterable(cells)]
+        ):
+            raise ValueError("malformed subset JSON: m, n and cells [i, j] must be integers")
         return cls.from_cells(m, n, cells)
 
     @property
@@ -601,34 +608,34 @@ def classify_oracle(s: Subset, max_side: int = 5) -> Classification:
         raise BudgetError(
             f"oracle budget is {max_side}x{max_side}, got {s.shape}"
         )
-    cells0 = [(i - 1, j - 1) for i, j in s.cells]
     rows2, cols2 = _packed_tri_masks(m, n)
     blocks = _packed_blocks(m, n)
+    col_perms = list(permutations(range(n)))
+    # shifted[c][i][r]: row i of S, columns permuted by col_perms[c],
+    # placed in row r.  Rows are disjoint, so summing one shifted row per
+    # source row packs the permuted subset.
+    hits = [[j for j, hit in enumerate(row) if hit] for row in s.mask]
+    shifts = [r * n for r in range(m)]
+    shifted = []
+    for cp in col_perms:
+        col_bits = [1 << c for c in cp]
+        row_bits = (sum(map(col_bits.__getitem__, h)) for h in hits)
+        shifted.append([tuple(map(b.__lshift__, shifts)) for b in row_bits])
+
+    def pair(rp: tuple[int, ...], cp: tuple[int, ...]) -> PermPair:
+        return PermPair(tuple(v + 1 for v in rp), tuple(v + 1 for v in cp))
 
     tri: Optional[PermPair] = None
     blk: Optional[BlockWitness] = None
     for rp in permutations(range(m)):
-        for cp in permutations(range(n)):
-            bits = 0
-            for i, j in cells0:
-                bits |= 1 << (rp[i] * n + cp[j])
-            if tri is None:
-                if not (bits & rows2 & ~(bits << n)) and not (
-                    bits & cols2 & ~(bits << 1)
-                ):
-                    tri = PermPair(
-                        tuple(v + 1 for v in rp), tuple(v + 1 for v in cp)
-                    )
-            if blk is None:
-                hit = blocks.get(bits)
-                if hit is not None:
-                    blk = BlockWitness(
-                        hit[0],
-                        hit[1],
-                        PermPair(
-                            tuple(v + 1 for v in rp), tuple(v + 1 for v in cp)
-                        ),
-                    )
+        for cp, per_row in zip(col_perms, shifted):
+            bits = sum(map(getitem, per_row, rp))
+            if tri is None and not (
+                bits & rows2 & ~(bits << n) or bits & cols2 & ~(bits << 1)
+            ):
+                tri = pair(rp, cp)
+            if blk is None and bits in blocks:
+                blk = BlockWitness(*blocks[bits], pair(rp, cp))
             if tri is not None and blk is not None:
                 return Classification(tri, blk)
     return Classification(tri, blk)

@@ -24,7 +24,7 @@ from subtoric.fibers import (
     initial_ideal_census,
     same_fibers,
 )
-from subtoric.ideal import block_reduce, build_generators
+from subtoric.ideal import GeneratorSet, block_reduce, build_generators
 from subtoric.tables import (
     BudgetError,
     Classification,
@@ -82,14 +82,14 @@ class VerificationReport:
 
 
 def _certify_staircase(
-    s: Subset, max_degree: int, budget: Budget
+    s: Subset, gset: GeneratorSet, max_degree: int, budget: Budget
 ) -> tuple[BuchbergerReport, list[CensusRow]]:
     """GB pass, squarefree antidiagonal leading terms, balanced census.
-    The pattern must already sit in its staircase corner."""
+    The pattern must already sit in its staircase corner, and gset must
+    be its generator set."""
     if not is_triangular_in_place(s):
         raise VerificationError("certification target is not a staircase in place")
     order = MonomialOrder(s.shape)
-    gset = build_generators(s)
     gens = gset.binomials(order)
     for q, g in zip(gset, gens):
         if g.plus.support_cells != q.antidiagonal_cells or not g.plus.is_squarefree:
@@ -129,15 +129,16 @@ def verify_subset(
 
     if cls.triangular is not None:
         canonical = s.permuted(cls.triangular)
-        gb, census = _certify_staircase(canonical, max_degree, budget)
+        gb, census = _certify_staircase(
+            canonical, build_generators(canonical), max_degree, budget
+        )
 
     if cls.block_diagonal is not None:
         w = cls.block_diagonal
         moved = s.permuted(w.perms)
         reduced = block_reduce(s, w)
-        generators_match = (
-            build_generators(moved).index_set == build_generators(reduced).index_set
-        )
+        reduced_gens = build_generators(reduced)
+        generators_match = build_generators(moved).index_set == reduced_gens.index_set
         fibers_match = same_fibers(moved, reduced, max_degree, budget)
         if not (generators_match and fibers_match):
             raise VerificationError(
@@ -145,7 +146,9 @@ def verify_subset(
                 f"fibers_match={fibers_match}"
             )
         block = BlockReduction(reduced, generators_match, fibers_match)
-        reduced_gb, reduced_census = _certify_staircase(reduced, max_degree, budget)
+        reduced_gb, reduced_census = _certify_staircase(
+            reduced, reduced_gens, max_degree, budget
+        )
         if gb is None:
             gb, census, canonical = reduced_gb, reduced_census, reduced
 

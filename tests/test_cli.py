@@ -278,6 +278,22 @@ def test_fiber_rejects_impossible_key(tmp_path, key):
     assert_one_error_line(proc)
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"m": "2", "n": 2, "cells": [[1, 2]]}',
+        '{"m": 2.0, "n": 2, "cells": [[1, 2]]}',
+        '{"m": true, "n": 2, "cells": [[1, 1]]}',
+        '{"m": 2, "n": 2, "cells": [[1.5, 1]]}',
+        '{"m": 2, "n": 2, "cells": [[1, 2, 1]]}',
+    ],
+)
+@pytest.mark.parametrize("command", ["classify", "gens"])
+def test_subset_json_must_hold_integers(tmp_path, doc, command):
+    proc = run_cli(command, write_subset(tmp_path, doc, "s.json"))
+    assert_one_error_line(proc)
+
+
 def test_walk_negative_steps_exits_2(tmp_path):
     start = tmp_path / "start.csv"
     start.write_text("1,0\n0,1\n")

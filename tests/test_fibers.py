@@ -28,7 +28,7 @@ from subtoric.fibers import (
     walk_vs_exact,
     _tables_of_degree,
 )
-from subtoric.ideal import QuadGen, all_quads, build_generators
+from subtoric.ideal import GeneratorSet, QuadGen, all_quads, build_generators
 from subtoric.tables import (
     BudgetError,
     CellTable,
@@ -42,6 +42,7 @@ from subtoric.tables import (
 from util import (
     census_by_scan,
     fiber_components_by_apply,
+    generation_check_by_listing,
     partition_of_degree,
     random_perm_pair,
     random_staircase,
@@ -316,6 +317,60 @@ def test_generation_check_rejects_a_misfit_move_at_the_first_shared_fiber():
     assert generation_check(s, gens, 1).passed
     with pytest.raises(ValueError, match="does not fit"):
         generation_check(s, gens, 2)
+
+
+def test_generation_check_matches_listing_on_seeded_subsets():
+    rng = random.Random(409)
+    cases = []
+    for (m, n), degrees in [((3, 3), (2, 3, 4)), ((4, 4), (2, 3, 4)), ((5, 5), (2, 3))]:
+        for d in degrees:
+            cases.append((random_subset(rng, m, n), d))
+            stair = random_staircase(rng, m, n)
+            cases.append((stair.permuted(random_perm_pair(rng, m, n)), d))
+    # Each of these has two disconnected fibers in its first failing
+    # (row sums, column sums) class, so the lower subset sum must win.
+    for text in ("101\n110\n011", "010\n001\n100", "0010\n0110\n1011\n0101"):
+        cases.append((Subset.from_text(text), 3))
+    outcomes = []
+    for s, d in cases:
+        full = build_generators(s)
+        # Thinned move sets too: then fibers of degree 2 and fibers of many
+        # classes fall apart, so the first one in key order must win.
+        for quads in (full.quads, full.quads[::2], full.quads[1::3], ()):
+            gens = GeneratorSet(s, quads)
+            res = generation_check(s, gens, d)
+            assert res == generation_check_by_listing(s, gens, d), (s.to_text(), d)
+            outcomes.append(res.passed)
+    assert outcomes.count(True) >= 2 and outcomes.count(False) >= 2, outcomes
+
+
+def test_generation_check_checks_the_degree_budget_like_listing():
+    s = Subset.full(3, 3)
+    budget = Budget(max_tables_per_degree=100)
+    messages = []
+    for hunt in (generation_check, generation_check_by_listing):
+        with pytest.raises(BudgetError) as err:
+            hunt(s, build_generators(s), 4, budget)
+        messages.append(str(err.value))
+    assert messages == ["165 degree-3 tables on 3x3 exceed budget 100"] * 2
+
+
+def test_generation_check_builds_tables_only_for_the_witness(monkeypatch):
+    import subtoric.fibers as fibers_mod
+
+    calls = []
+    original = fibers_mod._from_flat
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(fibers_mod, "_from_flat", counted)
+    full = Subset.full(3, 3)
+    assert generation_check(full, build_generators(full), 4).passed
+    assert calls == []
+    res = generation_check(DIAG3, build_generators(DIAG3), 4)
+    assert not res.passed and len(calls) == res.witness.size == 2
 
 
 def test_connected_fibers_mirror_reduction_to_zero():

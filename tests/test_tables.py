@@ -22,7 +22,13 @@ from subtoric.tables import (
     is_triangular_in_place,
     margins,
 )
-from util import random_block, random_perm_pair, random_staircase, random_subset
+from util import (
+    classify_oracle_by_cells,
+    random_block,
+    random_perm_pair,
+    random_staircase,
+    random_subset,
+)
 
 
 def S(m, n, *cells):
@@ -189,6 +195,29 @@ def test_subset_json_rejects_out_of_range_cells():
         Subset.from_json({"m": 2, "n": 2, "cells": [[3, 1]]})
     with pytest.raises(ValueError):
         Subset.from_json({"m": 2, "n": 2, "cells": [[0, 1]]})
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"m": "2", "n": 2, "cells": [[1, 1]]},
+        {"m": 2.0, "n": 2, "cells": [[1, 1]]},
+        {"m": True, "n": 2, "cells": [[1, 1]]},
+        {"m": 2, "n": 2, "cells": [[1.5, 1]]},
+        {"m": 2, "n": 2, "cells": [[1, False]]},
+        {"m": 2, "n": 2, "cells": [[1, 1, 1]]},
+        {"m": 2, "n": 2, "cells": [[1]]},
+        {"m": 2, "n": 2, "cells": ["11"]},
+        {"m": 2, "n": 2, "cells": {"1": 1}},
+        {"m": 2, "cells": []},
+        [2, 2, []],
+    ],
+)
+def test_subset_json_requires_integers(doc):
+    with pytest.raises(ValueError):
+        Subset.from_json(doc)
+    with pytest.raises(ValueError):
+        Subset.from_json(json.dumps(doc))
 
 
 def test_subset_membership_and_supports():
@@ -384,6 +413,38 @@ def test_oracle_witnesses_validate_too():
             assert s.permuted(b.perms) == block_pattern(s.shape, b.r, b.c)
 
 
+def test_oracle_matches_cell_oracle_on_every_small_subset():
+    for m in range(1, 4):
+        for n in range(1, 4):
+            for bits in range(1 << (m * n)):
+                cells = [
+                    (k // n + 1, k % n + 1) for k in range(m * n) if bits >> k & 1
+                ]
+                s = Subset.from_cells(m, n, cells)
+                assert classify_oracle(s) == classify_oracle_by_cells(s), s.to_text()
+
+
+def test_oracle_matches_cell_oracle_on_seeded_subsets():
+    rng = random.Random(108)
+    subsets = []
+    for m, n in [(4, 4), (5, 5), (2, 5), (5, 2)]:
+        for _ in range(4):
+            subsets.append(random_subset(rng, m, n, p=rng.choice([0.2, 0.5, 0.8])))
+            perms = random_perm_pair(rng, m, n)
+            subsets.append(random_staircase(rng, m, n).permuted(perms))
+            subsets.append(random_block(rng, m, n).permuted(perms))
+    seen = {"tri": 0, "blk": 0, "neither": 0}
+    for s in subsets:
+        res = classify_oracle(s)
+        assert res == classify_oracle_by_cells(s), s.to_text()
+        seen["tri"] += res.triangular is not None
+        seen["blk"] += res.block_diagonal is not None
+        seen["neither"] += res.is_neither
+    assert min(seen.values()) >= 2, seen
+
+
 def test_oracle_refuses_oversized_tables():
     with pytest.raises(BudgetError):
         classify_oracle(Subset.empty(6, 3))
+    with pytest.raises(BudgetError, match="oracle budget is 3x3, got 2x4"):
+        classify_oracle(Subset.empty(2, 4), max_side=3)

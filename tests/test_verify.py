@@ -167,3 +167,24 @@ def test_staircase_leading_terms_must_be_the_antidiagonals(monkeypatch):
         match=r"leading term of \(1, 2, 1, 3\) is not the squarefree antidiagonal",
     ):
         verify_subset(S(3, 3, (1, 1), (1, 2), (2, 1)), 2)
+
+
+def test_block_branch_builds_each_generator_set_once(monkeypatch):
+    import subtoric.verify as verify_mod
+
+    built = []
+    original = verify_mod.build_generators
+
+    def counted(s):
+        built.append(s)
+        return original(s)
+
+    monkeypatch.setattr(verify_mod, "build_generators", counted)
+    # Block diagonal only: the permuted pattern and the reduced one.
+    s = block_pattern(TableShape(4, 4), 2, 2)
+    rep = verify_subset(s, 3)
+    assert rep.classification.triangular is None
+    moved = s.permuted(rep.classification.block_diagonal.perms)
+    assert sorted(built, key=Subset.to_text) == sorted(
+        [moved, rep.block_reduction.reduced], key=Subset.to_text
+    )

@@ -1,12 +1,15 @@
 """Shared helpers for the test suite: seeded random subsets and patterns,
 a table-scanning census oracle, a fiber-listing partition oracle, a move
 expansion by products of cell variables, a division and Buchberger
-oracle that works on CellTables with a linear divisor scan, and walk and
-component oracles that move CellTables one ``apply_move`` at a time."""
+oracle that works on CellTables with a linear divisor scan, walk and
+component oracles that move CellTables one ``apply_move`` at a time, a
+permutation oracle that packs every pair cell by cell, and a fiber hunt
+over ``fibers_of_degree``."""
 
 from __future__ import annotations
 
 import random
+from itertools import permutations
 from typing import Optional, Sequence
 
 from subtoric.binomials import (
@@ -23,15 +26,28 @@ from subtoric.fibers import (
     Budget,
     CensusRow,
     Fiber,
+    GenerationCheck,
     MoveSet,
     WalkTrace,
     _check_degree_budget,
     _margin_parts,
     apply_move,
+    fiber_components,
     fibers_of_degree,
 )
 from subtoric.ideal import GeneratorSet, QuadGen
-from subtoric.tables import CellTable, PermPair, Subset, TableShape, margins
+from subtoric.tables import (
+    BlockWitness,
+    BudgetError,
+    CellTable,
+    Classification,
+    PermPair,
+    Subset,
+    TableShape,
+    _packed_blocks,
+    _packed_tri_masks,
+    margins,
+)
 
 
 def random_subset(rng: random.Random, m: int, n: int, p: float = 0.5) -> Subset:
@@ -259,3 +275,58 @@ def fiber_components_by_apply(
     comps = [tuple(ts) for ts in buckets.values()]
     comps.sort(key=lambda c: (-len(c), c[0].flat))
     return comps
+
+
+def classify_oracle_by_cells(s: Subset, max_side: int = 5) -> Classification:
+    """The permutation oracle packing each pair's mask one cell bit at a
+    time: rows outer, columns inner, first witness kept for each class."""
+    m, n = s.shape.m, s.shape.n
+    if m > max_side or n > max_side:
+        raise BudgetError(f"oracle budget is {max_side}x{max_side}, got {s.shape}")
+    cells0 = [(i - 1, j - 1) for i, j in s.cells]
+    rows2, cols2 = _packed_tri_masks(m, n)
+    blocks = _packed_blocks(m, n)
+    tri: Optional[PermPair] = None
+    blk: Optional[BlockWitness] = None
+    for rp in permutations(range(m)):
+        for cp in permutations(range(n)):
+            bits = 0
+            for i, j in cells0:
+                bits |= 1 << (rp[i] * n + cp[j])
+            if tri is None:
+                if not (bits & rows2 & ~(bits << n)) and not (
+                    bits & cols2 & ~(bits << 1)
+                ):
+                    tri = PermPair(
+                        tuple(v + 1 for v in rp), tuple(v + 1 for v in cp)
+                    )
+            if blk is None:
+                hit = blocks.get(bits)
+                if hit is not None:
+                    blk = BlockWitness(
+                        hit[0],
+                        hit[1],
+                        PermPair(
+                            tuple(v + 1 for v in rp), tuple(v + 1 for v in cp)
+                        ),
+                    )
+            if tri is not None and blk is not None:
+                return Classification(tri, blk)
+    return Classification(tri, blk)
+
+
+def generation_check_by_listing(
+    s: Subset,
+    gens: GeneratorSet,
+    max_degree: int = 4,
+    budget: Budget = DEFAULT_BUDGET,
+) -> GenerationCheck:
+    """The fiber hunt over ``fibers_of_degree``: every fiber of every
+    degree in margin-key order, each of more than one table split into
+    components by ``fiber_components``."""
+    moves = MoveSet.from_generators(gens)
+    for d in range(max_degree + 1):
+        for fiber in fibers_of_degree(s, d, budget):
+            if fiber.size > 1 and len(fiber_components(fiber, moves)) > 1:
+                return GenerationCheck(False, max_degree, fiber)
+    return GenerationCheck(True, max_degree, None)
