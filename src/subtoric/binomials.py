@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from subtoric.tables import CellTable, PermPair, ShapeMismatchError, TableShape
 
@@ -36,6 +36,16 @@ class MonomialOrder:
         if t.shape != self.shape:
             raise ShapeMismatchError(f"monomial on {t.shape}, order on {self.shape}")
         return tuple(e for row in reversed(t.entries) for e in row)
+
+    def cells_key(self, cells: Iterable[tuple[int, int]]) -> Key:
+        """The key of a product of cell variables, with no CellTable built."""
+        m, n = self.shape.m, self.shape.n
+        out = [0] * (m * n)
+        for i, j in cells:
+            if not (1 <= i <= m and 1 <= j <= n):
+                raise ValueError(f"cell ({i},{j}) outside {self.shape}")
+            out[(m - i) * n + j - 1] += 1
+        return tuple(out)
 
 
 def lex_compare(a: CellTable, b: CellTable, order: MonomialOrder) -> int:
@@ -84,6 +94,11 @@ def _require_oriented(f: Binomial, order: MonomialOrder, who: str) -> None:
         raise ValueError(f"{who} requires oriented input, got {f}")
 
 
+def _oriented_keys(f: Binomial, order: MonomialOrder, who: str) -> Pair:
+    _require_oriented(f, order, who)
+    return order.key(f.plus), order.key(f.minus)
+
+
 def s_polynomial(
     g1: Binomial, g2: Binomial, order: MonomialOrder
 ) -> Optional[Binomial]:
@@ -119,26 +134,19 @@ class ReductionStep:
 
 
 class _Divider:
-    """Oriented generators prepared for division on exponent tuples.
-
-    Monomials are ``MonomialOrder.key`` tuples.  For generator ``idx`` it
-    holds the leading and trailing keys, the leading term's support as a
-    bitmask, its exponents above 1 (the only ones the bitmask cannot
-    check), the nonzero entries of trailing minus leading, and, under the
-    lowest set bit of the support, ``idx`` in an ascending list.
+    """Oriented (leading, trailing) generators prepared for division on
+    ``MonomialOrder.key`` tuples.  For generator ``idx`` it holds the
+    leading term's support as a bitmask, its exponents above 1 (the only
+    ones the bitmask cannot check), the nonzero entries of trailing minus
+    leading, and, under the lowest set bit of the support, ``idx`` in an
+    ascending list.
     """
 
-    def __init__(
-        self, gens: Sequence[Binomial], order: MonomialOrder, who: str
-    ) -> None:
-        self.order = order
-        self.lead = [order.key(g.plus) for g in gens]
-        self.trail = [order.key(g.minus) for g in gens]
-        for g, lt, tt in zip(gens, self.lead, self.trail):
-            if not lt > tt:
-                raise ValueError(f"{who} requires oriented input, got {g}")
-        size = order.shape.m * order.shape.n
-        self._cells = range(size)
+    def __init__(self, gens: Sequence[Pair], shape: TableShape) -> None:
+        self.shape = shape
+        self.lead = [lt for lt, _ in gens]
+        self.trail = [tt for _, tt in gens]
+        self._cells = range(shape.m * shape.n)
         self._bit = tuple(1 << p for p in self._cells)
         self.bits = [self.support_bits(lt) for lt in self.lead]
         self.support = [
@@ -147,7 +155,7 @@ class _Divider:
         self._high = [tuple((p, e) for p, e in sup if e > 1) for sup in self.support]
         self._delta = [
             tuple((p, b - a) for p, (a, b) in enumerate(zip(lt, tt)) if a != b)
-            for lt, tt in zip(self.lead, self.trail)
+            for lt, tt in gens
         ]
         self._by_low: list[list[int]] = [[] for _ in self._cells]
         for idx, b in enumerate(self.bits):
@@ -228,9 +236,9 @@ class _Divider:
 
     def table(self, t: Key) -> CellTable:
         """The inverse of ``MonomialOrder.key``."""
-        n = self.order.shape.n
+        n = self.shape.n
         rows = [t[r : r + n] for r in range(0, len(t), n)]
-        return CellTable(self.order.shape, tuple(reversed(rows)))
+        return CellTable(self.shape, tuple(reversed(rows)))
 
     def binomial(self, pair: Pair) -> Binomial:
         return Binomial(self.table(pair[0]), self.table(pair[1]))
@@ -250,9 +258,9 @@ def normal_form(
     trace: list[ReductionStep] = []
     if f is None:
         return None, trace
-    _require_oriented(f, order, "normal_form")
-    div = _Divider(gens, order, "normal_form")
-    _, steps = div.reduce(order.key(f.plus), order.key(f.minus))
+    plus, minus = _oriented_keys(f, order, "normal_form")
+    div = _Divider([_oriented_keys(g, order, "normal_form") for g in gens], order.shape)
+    _, steps = div.reduce(plus, minus)
     current: Optional[Binomial] = f
     for idx, after in steps:
         nxt = None if after is None else div.binomial(after)
@@ -298,7 +306,13 @@ def buchberger_check(
     after a failure, so the counts are complete, and the reported
     failure is the first one in pair order.
     """
-    div = _Divider(gens, order, "buchberger_check")
+    keyed = [_oriented_keys(g, order, "buchberger_check") for g in gens]
+    return buchberger_check_keys(keyed, order)
+
+
+def buchberger_check_keys(gens: Sequence[Pair], order: MonomialOrder) -> BuchbergerReport:
+    """``buchberger_check`` on oriented (leading, trailing) key pairs."""
+    div = _Divider(gens, order.shape)
     bits = div.bits
     checked = skipped = 0
     failure: Optional[BuchbergerFailure] = None

@@ -16,16 +16,15 @@ import time
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from subtoric.binomials import MonomialOrder, buchberger_check
+from subtoric.binomials import MonomialOrder, buchberger_check_keys
 from subtoric.fibers import (
-    MoveSet,
     enumerate_fiber,
     initial_ideal_census,
     random_walk,
     table_from_csv,
     walk_tv,
 )
-from subtoric.ideal import build_generators
+from subtoric.ideal import build_generators, move_keys
 from subtoric.tables import (
     BudgetError,
     Margins,
@@ -121,7 +120,8 @@ def _cmd_gens(args) -> int:
 def _cmd_check_gb(args) -> int:
     s = _load_subset(args.subset)
     order = MonomialOrder(s.shape)
-    report = buchberger_check(build_generators(s).binomials(order), order)
+    gens = [(a, d) if a > d else (d, a) for a, d in move_keys(build_generators(s), order)]
+    report = buchberger_check_keys(gens, order)
     lines = [
         f"pass: {'true' if report.passed else 'false'}",
         f"checked_pairs: {report.checked_pairs}",
@@ -188,8 +188,7 @@ def _cmd_fiber(args) -> int:
 def _cmd_walk(args) -> int:
     s = _load_subset(args.subset)
     start = table_from_csv(_read_text(args.start))
-    moves = MoveSet.from_generators(build_generators(s))
-    trace = random_walk(s, start, moves, args.steps, args.seed)
+    trace = random_walk(s, start, build_generators(s), args.steps, args.seed)
     payload = trace.to_json_dict()
     lines = [
         f"seed: {trace.seed}",

@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 from subtoric.binomials import MonomialOrder
 from subtoric.ideal import GeneratorSet, QuadGen
@@ -212,7 +212,7 @@ def fibers_of_degree(
         groups.setdefault((rows, cols, in_sum), []).append(t)
     out = []
     for rows, cols, in_sum in sorted(groups):
-        key = Margins(rows, cols, in_sum, d - in_sum)
+        key = Margins(rows, cols, in_sum)
         out.append(Fiber(key, tuple(groups[(rows, cols, in_sum)])))
     return out
 
@@ -221,22 +221,9 @@ def fibers_of_degree(
 # Moves and connectivity
 
 
-@dataclass(frozen=True)
-class MoveSet:
-    """Quadruples acting as table moves: +1 on the diagonal cells
-    (i,k),(j,ell) and -1 on the antidiagonal cells, or the reverse."""
-
-    moves: tuple[QuadGen, ...]
-
-    @classmethod
-    def from_generators(cls, gens: GeneratorSet) -> "MoveSet":
-        return cls(tuple(gens))
-
-    def __len__(self) -> int:
-        return len(self.moves)
-
-    def __iter__(self) -> Iterator[QuadGen]:
-        return iter(self.moves)
+# Old callers' name for a tuple of moves.
+class MoveSet(tuple):
+    from_generators = classmethod(tuple.__new__)
 
 
 def apply_move(t: CellTable, q: QuadGen, sign: int) -> Optional[CellTable]:
@@ -273,7 +260,7 @@ def _signed_steps(shape: TableShape, moves: Iterable[QuadGen]) -> list[_Signed]:
 
 
 def fiber_components(
-    fiber: Fiber, moves: MoveSet
+    fiber: Fiber, moves: Iterable[QuadGen]
 ) -> list[tuple[CellTable, ...]]:
     """Connected components of the fiber under the moves, largest first;
     ties broken by the smallest flat entry sequence."""
@@ -364,7 +351,7 @@ def generation_check(
                 if steps is None:
                     steps = _signed_steps(s.shape, gens)
                 if any(_component_roots(fiber, steps)):
-                    key = Margins(rows, cols, in_sum, d - in_sum)
+                    key = Margins(rows, cols, in_sum)
                     tables = tuple(_from_flat(s.shape, f) for f in fiber)
                     return GenerationCheck(False, max_degree, Fiber(key, tables))
     return GenerationCheck(True, max_degree, None)
@@ -559,7 +546,7 @@ class WalkTrace:
 
 
 def random_walk(
-    s: Subset, start: CellTable, moves: MoveSet, steps: int, seed: int
+    s: Subset, start: CellTable, moves: Collection[QuadGen], steps: int, seed: int
 ) -> WalkTrace:
     """Lazy symmetric walk: pick a move and a sign uniformly, apply when
     the result stays nonnegative, otherwise stay put.
@@ -616,7 +603,7 @@ def walk_tv(fiber: Fiber, trace: WalkTrace) -> float:
 def walk_vs_exact(
     s: Subset,
     start: CellTable,
-    moves: MoveSet,
+    moves: Collection[QuadGen],
     steps: int,
     seed: int,
     budget: Budget = DEFAULT_BUDGET,

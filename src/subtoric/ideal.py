@@ -12,9 +12,9 @@ reduction of a block-diagonal pattern to its top-left block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from subtoric.binomials import Binomial, MonomialOrder, orient
+from subtoric.binomials import Binomial, MonomialOrder, Pair, orient
 from subtoric.tables import (
     BlockWitness,
     CellTable,
@@ -64,6 +64,13 @@ class QuadGen:
                 rows[i - 1] = rows[i - 1][: j - 1] + (1,) + rows[i - 1][j:]
             sides.append(CellTable(shape, tuple(rows)))
         return Binomial(*sides)
+
+
+def move_keys(moves: Iterable[QuadGen], order: MonomialOrder) -> list[Pair]:
+    """Each move's (antidiagonal, diagonal) sides of ``expand`` as order
+    keys, read straight off its cells; not oriented, no CellTable built."""
+    key = order.cells_key
+    return [(key(q.antidiagonal_cells), key(q.diagonal_cells)) for q in moves]
 
 
 def all_quads(shape: TableShape) -> list[QuadGen]:

@@ -12,7 +12,8 @@ and subsets that are 2x2 block diagonal up to permutation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, permutations
 from operator import getitem
 from typing import Iterable, Optional, Sequence
@@ -24,6 +25,10 @@ class ShapeMismatchError(ValueError):
 
 class BudgetError(RuntimeError):
     """An exhaustive computation would exceed its configured budget."""
+
+
+# The most cells a JSON subset may name; its mask is allocated cell by cell.
+MAX_JSON_CELLS = 10_000
 
 
 @dataclass(frozen=True, order=True)
@@ -90,9 +95,6 @@ class PermPair:
         for old, new in enumerate(self.col_perm, start=1):
             col[new - 1] = old
         return PermPair(tuple(row), tuple(col))
-
-    def apply(self, i: int, j: int) -> tuple[int, int]:
-        return self.row_perm[i - 1], self.col_perm[j - 1]
 
     def to_json_dict(self) -> dict:
         return {"rows": list(self.row_perm), "cols": list(self.col_perm)}
@@ -179,6 +181,8 @@ class Subset:
             type(v) is int for v in [m, n, *chain.from_iterable(cells)]
         ):
             raise ValueError("malformed subset JSON: m, n and cells [i, j] must be integers")
+        if m * n > MAX_JSON_CELLS:
+            raise ValueError(f"subset JSON shape {m}x{n} exceeds {MAX_JSON_CELLS} cells")
         return cls.from_cells(m, n, cells)
 
     @property
@@ -346,23 +350,26 @@ class Margins:
     """Row sums, column sums, and the in/out degree split of a monomial.
 
     in_sum counts the exponents on cells inside the subset, out_sum the
-    rest.  Row totals, column totals, and in_sum + out_sum all equal the
-    monomial degree.
+    rest.  Row totals and column totals both equal the monomial degree,
+    and in_sum lies in 0..degree.
     """
 
     row_sums: tuple[int, ...]
     col_sums: tuple[int, ...]
     in_sum: int
-    out_sum: int
 
     def __post_init__(self) -> None:
         total = sum(self.row_sums)
-        if total != sum(self.col_sums) or total != self.in_sum + self.out_sum:
+        if total != sum(self.col_sums) or not 0 <= self.in_sum <= total:
             raise ValueError("margin totals disagree")
 
     @property
     def degree(self) -> int:
-        return self.in_sum + self.out_sum
+        return sum(self.row_sums)
+
+    @property
+    def out_sum(self) -> int:
+        return self.degree - self.in_sum
 
     def __add__(self, other: "Margins") -> "Margins":
         if len(self.row_sums) != len(other.row_sums) or len(self.col_sums) != len(
@@ -373,7 +380,6 @@ class Margins:
             tuple(a + b for a, b in zip(self.row_sums, other.row_sums)),
             tuple(a + b for a, b in zip(self.col_sums, other.col_sums)),
             self.in_sum + other.in_sum,
-            self.out_sum + other.out_sum,
         )
 
     def sort_key(self) -> tuple:
@@ -406,7 +412,7 @@ class Margins:
         total = sum(rows)
         if not 0 <= s_sum <= total:
             raise ValueError(f"margin key s_sum {s_sum} is outside 0..{total}")
-        return cls(tuple(rows), tuple(cols), s_sum, total - s_sum)
+        return cls(tuple(rows), tuple(cols), s_sum)
 
 
 def margins(subset: Subset, table: CellTable) -> Margins:
@@ -423,7 +429,7 @@ def margins(subset: Subset, table: CellTable) -> Margins:
         for hit, e in zip(mrow, erow)
         if hit
     )
-    return Margins(row_sums, col_sums, in_sum, sum(row_sums) - in_sum)
+    return Margins(row_sums, col_sums, in_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -497,25 +503,26 @@ def block_pattern(shape: TableShape, r: int, c: int) -> Subset:
     return Subset.from_cells(shape.m, shape.n, cells)
 
 
+@lru_cache(maxsize=None)
+def _packed_blocks(m: int, n: int) -> dict[int, tuple[int, int]]:
+    """Each two-block pattern's mask (cell (i, j) at bit i*n + j) mapped to
+    its first (r, c), largest top-left block first.  Cached; read only."""
+    full = (1 << n) - 1
+    table: dict[int, tuple[int, int]] = {}
+    for r in range(m, -1, -1):
+        for c in range(n, -1, -1):
+            left = (1 << c) - 1
+            bits = sum((left if i < r else full ^ left) << (i * n) for i in range(m))
+            table.setdefault(bits, (r, c))
+    return table
+
+
 def is_block_diagonal_in_place(s: Subset) -> Optional[tuple[int, int]]:
     """The first (r, c) realizing the two-block pattern without moving
     anything, or None.  Larger top-left blocks are preferred, so the full
     subset reports (m, n) and the empty subset (m, 0)."""
-    m, n = s.shape.m, s.shape.n
-    for r in range(m, -1, -1):
-        for c in range(n, -1, -1):
-            ok = True
-            for i in range(m):
-                for j in range(n):
-                    want = (i < r and j < c) or (i >= r and j >= c)
-                    if s.mask[i][j] != want:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                return (r, c)
-    return None
+    bits = sum(1 << p for p, hit in enumerate(chain.from_iterable(s.mask)) if hit)
+    return _packed_blocks(s.shape.m, s.shape.n).get(bits)
 
 
 def _triangular_witness(s: Subset) -> Optional[PermPair]:
@@ -581,20 +588,6 @@ def _packed_tri_masks(m: int, n: int) -> tuple[int, int]:
             if j >= 1:
                 cols2 |= b
     return rows2, cols2
-
-
-def _packed_blocks(m: int, n: int) -> dict[int, tuple[int, int]]:
-    # Largest top-left block first, matching is_block_diagonal_in_place.
-    table: dict[int, tuple[int, int]] = {}
-    for r in range(m, -1, -1):
-        for c in range(n, -1, -1):
-            bits = 0
-            for i in range(m):
-                for j in range(n):
-                    if (i < r and j < c) or (i >= r and j >= c):
-                        bits |= 1 << (i * n + j)
-            table.setdefault(bits, (r, c))
-    return table
 
 
 def classify_oracle(s: Subset, max_side: int = 5) -> Classification:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from subtoric.binomials import BuchbergerReport, MonomialOrder, buchberger_check
+from subtoric.binomials import BuchbergerReport, MonomialOrder, buchberger_check_keys
 from subtoric.fibers import (
     Budget,
     CensusRow,
@@ -24,7 +24,7 @@ from subtoric.fibers import (
     initial_ideal_census,
     same_fibers,
 )
-from subtoric.ideal import GeneratorSet, block_reduce, build_generators
+from subtoric.ideal import GeneratorSet, block_reduce, build_generators, move_keys
 from subtoric.tables import (
     BudgetError,
     Classification,
@@ -90,13 +90,13 @@ def _certify_staircase(
     if not is_triangular_in_place(s):
         raise VerificationError("certification target is not a staircase in place")
     order = MonomialOrder(s.shape)
-    gens = gset.binomials(order)
-    for q, g in zip(gset, gens):
-        if g.plus.support_cells != q.antidiagonal_cells or not g.plus.is_squarefree:
+    gens = move_keys(gset, order)
+    for q, (anti, diag) in zip(gset, gens):
+        if not anti > diag:
             raise VerificationError(
                 f"leading term of {q.as_tuple} is not the squarefree antidiagonal"
             )
-    gb = buchberger_check(gens, order)
+    gb = buchberger_check_keys(gens, order)
     if not gb.passed:
         raise VerificationError(f"Buchberger failed on staircase: {gb.failure}")
     census = initial_ideal_census(s, gset, order, max_degree, budget)

@@ -452,3 +452,14 @@ def test_normal_form_requires_oriented_generators():
     f = orient(minor(SH23, 1, 2, 1, 2), ORD23)
     with pytest.raises(ValueError):
         normal_form(f, [minor(SH23, 1, 2, 2, 3).swapped()], ORD23)
+
+
+def test_buchberger_check_requires_oriented_generators():
+    g = minor(SH23, 1, 2, 2, 3)
+    with pytest.raises(
+        ValueError, match=r"^buchberger_check requires oriented input, got x12\*x23-"
+    ):
+        buchberger_check([orient(minor(SH23, 1, 2, 1, 2), ORD23), g.swapped()], ORD23)
+    f = orient(minor(SH23, 1, 2, 1, 2), ORD23)
+    with pytest.raises(ValueError, match=r"^normal_form requires oriented input, got "):
+        normal_form(f, [g.swapped()], ORD23)

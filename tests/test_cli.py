@@ -108,6 +108,35 @@ def test_check_gb_fails_off_corner_cell(tmp_path):
     assert payload["failure"]["remainder"] == "x11*x23*x32-x12*x21*x33"
 
 
+def test_check_gb_report_equals_the_binomial_report(tmp_path, capsys):
+    # check-gb keys the moves straight from their cells; its report must
+    # be the one buchberger_check gives on the expanded binomials.
+    import random
+
+    from subtoric import cli
+    from subtoric.binomials import MonomialOrder, buchberger_check
+    from subtoric.ideal import build_generators
+    from util import random_perm_pair, random_staircase, random_subset
+
+    rng = random.Random(711)
+    cases = []
+    for _ in range(12):
+        m, n = rng.randint(2, 5), rng.randint(2, 5)
+        stair = random_staircase(rng, m, n)
+        cases += [stair, stair.permuted(random_perm_pair(rng, m, n))]
+        cases.append(random_subset(rng, m, n))
+    path = tmp_path / "s.txt"
+    failed = 0
+    for s in cases:
+        order = MonomialOrder(s.shape)
+        expected = buchberger_check(build_generators(s).binomials(order), order)
+        path.write_text(s.to_text() + "\n")
+        assert cli.main(["check-gb", "--json", str(path)]) == (0 if expected.passed else 1)
+        assert json.loads(capsys.readouterr().out)["payload"] == expected.to_json_dict(), s
+        failed += not expected.passed
+    assert 2 <= failed < len(cases)
+
+
 # ------------------------------------------------------------------- verify
 
 def test_verify_staircase_passes(tmp_path):
@@ -292,6 +321,23 @@ def test_fiber_rejects_impossible_key(tmp_path, key):
 def test_subset_json_must_hold_integers(tmp_path, doc, command):
     proc = run_cli(command, write_subset(tmp_path, doc, "s.json"))
     assert_one_error_line(proc)
+
+
+def test_subset_json_naming_a_huge_shape_exits_2(tmp_path, capsys):
+    # Refused before any mask is allocated, so this takes milliseconds.
+    from subtoric import cli
+
+    doc = '{"m": 100000, "n": 100000, "cells": []}'
+    path = write_subset(tmp_path, doc, "s.json")
+    for command in ("gens", "classify"):
+        assert cli.main([command, path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        lines = err.splitlines()
+        assert lines[0] == (
+            "error: subset JSON shape 100000x100000 exceeds 10000 cells"
+        )
+        assert [ln for ln in lines if ln.startswith("error: ")] == lines[:1]
 
 
 def test_walk_negative_steps_exits_2(tmp_path):

@@ -57,7 +57,7 @@ def S(m, n, *cells):
 
 
 def key(rows, cols, s_sum):
-    return Margins(tuple(rows), tuple(cols), s_sum, sum(rows) - s_sum)
+    return Margins(tuple(rows), tuple(cols), s_sum)
 
 
 DIAG3 = S(3, 3, (1, 1), (2, 2), (3, 3))
@@ -200,7 +200,7 @@ def test_in_generator_moves_preserve_margins():
 
 def test_two_table_fiber_connected_by_its_minor():
     f = enumerate_fiber(Subset.full(2, 2), key((1, 1), (1, 1), 2))
-    moves = MoveSet((QuadGen(1, 2, 1, 2),))
+    moves = (QuadGen(1, 2, 1, 2),)
     comps = fiber_components(f, moves)
     assert len(comps) == 1
     assert len(comps[0]) == 2
@@ -208,7 +208,7 @@ def test_two_table_fiber_connected_by_its_minor():
 
 def test_empty_move_set_gives_singleton_components():
     f = enumerate_fiber(Subset.full(2, 2), key((1, 1), (1, 1), 2))
-    comps = fiber_components(f, MoveSet(()))
+    comps = fiber_components(f, ())
     assert len(comps) == 2
     assert all(len(c) == 1 for c in comps)
 
@@ -218,7 +218,7 @@ def test_components_match_apply_oracle():
     disconnected = 0
     for m in (3, 3, 3, 3, 4, 4):
         s = random_subset(rng, m, m)
-        moves = MoveSet.from_generators(build_generators(s))
+        moves = build_generators(s)
         for d in range(4):
             for f in fibers_of_degree(s, d):
                 comps = fiber_components(f, moves)
@@ -231,7 +231,7 @@ def test_moves_must_fit_the_shape():
     # (1,2,1,3) needs a third column; a flat index would land in row 2.
     s = Subset.full(2, 2)
     start = CellTable.from_rows([[1, 0], [0, 1]])
-    moves = MoveSet((QuadGen(1, 2, 1, 3),))
+    moves = (QuadGen(1, 2, 1, 3),)
     with pytest.raises(ValueError, match="does not fit"):
         random_walk(s, start, moves, 10, seed=1)
     f = enumerate_fiber(s, key((1, 1), (1, 1), 2))
@@ -243,7 +243,7 @@ def test_walk_rejects_a_move_off_the_fiber_before_walking():
     s = S(3, 3, (1, 1), (1, 2), (2, 1))
     kept = build_generators(s)
     bad = next(q for q in all_quads(s.shape) if q not in kept)
-    moves = MoveSet(tuple(kept) + (bad,))
+    moves = tuple(kept) + (bad,)
     start = CellTable.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     message = re.escape(f"move {bad.as_tuple} left the fiber")
     for steps in (0, 100):
@@ -253,7 +253,7 @@ def test_walk_rejects_a_move_off_the_fiber_before_walking():
 
 def test_components_sorted_largest_first():
     fibs = fibers_of_degree(Subset.full(3, 3), 3)
-    moves = MoveSet((QuadGen(1, 2, 1, 2),))
+    moves = (QuadGen(1, 2, 1, 2),)
     for f in fibs:
         comps = fiber_components(f, moves)
         sizes = [len(c) for c in comps]
@@ -390,7 +390,7 @@ def test_connected_fibers_mirror_reduction_to_zero():
             for f in fibers_of_degree(s, d):
                 if f.size < 2:
                     continue
-                comps = fiber_components(f, MoveSet(tuple(gset)))
+                comps = fiber_components(f, gset)
                 assert len(comps) == 1
                 for _ in range(3):
                     a, b = rng.sample(f.tables, 2)
@@ -591,7 +591,7 @@ def test_same_fibers_needs_one_shape():
 
 def test_walk_zero_steps_visits_only_start():
     start = CellTable.from_rows([[1, 0], [0, 1]])
-    moves = MoveSet((QuadGen(1, 2, 1, 2),))
+    moves = (QuadGen(1, 2, 1, 2),)
     tr = random_walk(Subset.full(2, 2), start, moves, 0, seed=7)
     assert tr.visit_counts == {start: 1}
     assert tr.final == start
@@ -600,7 +600,7 @@ def test_walk_zero_steps_visits_only_start():
 def test_walk_two_state_chain_is_near_uniform():
     start = CellTable.from_rows([[1, 0], [0, 1]])
     other = CellTable.from_rows([[0, 1], [1, 0]])
-    moves = MoveSet((QuadGen(1, 2, 1, 2),))
+    moves = (QuadGen(1, 2, 1, 2),)
     tr = random_walk(Subset.full(2, 2), start, moves, 10_000, seed=11)
     total = 10_001
     assert set(tr.visit_counts) == {start, other}
@@ -612,7 +612,7 @@ def test_walk_two_state_chain_is_near_uniform():
 def test_walk_is_reproducible():
     start = CellTable.from_rows([[2, 0, 1], [0, 1, 0], [1, 0, 0]])
     s = S(3, 3, (1, 1), (1, 2), (2, 1))
-    moves = MoveSet(tuple(build_generators(s)))
+    moves = tuple(build_generators(s))
     a = random_walk(s, start, moves, 500, seed=42)
     b = random_walk(s, start, moves, 500, seed=42)
     assert a == b
@@ -625,16 +625,25 @@ def test_walk_stays_in_fiber():
     for _ in range(10):
         s = random_subset(rng, 3, 3)
         start = random_table(rng, 3, 3, 4)
-        moves = MoveSet(tuple(build_generators(s)))
+        moves = tuple(build_generators(s))
         tr = random_walk(s, start, moves, 300, seed=rng.randint(0, 999))
         k = margins(s, start)
         for t in tr.visit_counts:
             assert margins(s, t) == k
 
 
+def test_move_set_name_is_a_tuple_of_moves():
+    s = S(3, 3, (1, 1), (1, 2), (2, 1))
+    gset = build_generators(s)
+    moves = MoveSet.from_generators(gset)
+    assert isinstance(moves, tuple) and moves == tuple(gset)
+    start = CellTable.from_rows([[2, 0, 1], [0, 1, 0], [1, 0, 0]])
+    assert random_walk(s, start, moves, 300, 9) == random_walk(s, start, gset, 300, 9)
+
+
 def test_walk_with_no_moves_stays_put():
     start = CellTable.from_rows([[1, 0], [0, 1]])
-    tr = random_walk(Subset.full(2, 2), start, MoveSet(()), 50, seed=1)
+    tr = random_walk(Subset.full(2, 2), start, (), 50, seed=1)
     assert tr.visit_counts == {start: 51}
     assert tr.accepted == 0
 
@@ -642,7 +651,7 @@ def test_walk_with_no_moves_stays_put():
 def test_walk_counts_accepted_proposals():
     # Two tables, one move: exactly one sign applies at each step.
     start = CellTable.from_rows([[1, 0], [0, 1]])
-    moves = MoveSet((QuadGen(1, 2, 1, 2),))
+    moves = (QuadGen(1, 2, 1, 2),)
     tr = random_walk(Subset.full(2, 2), start, moves, 10_000, seed=11)
     assert abs(tr.accepted / 10_000 - 0.5) < 0.05
     assert "accepted" not in tr.to_json_dict()
@@ -659,7 +668,7 @@ def test_walk_matches_apply_oracle():
         m, n = rng.randint(2, 5), rng.randint(2, 5)
         cases.append((pick(rng, m, n), random_table(rng, m, n, rng.randint(2, 6))))
     for s, start in cases:
-        moves = MoveSet.from_generators(build_generators(s))
+        moves = build_generators(s)
         for seed in (0, 1, 2):
             tr = random_walk(s, start, moves, 400, seed)
             expected = random_walk_by_apply(s, start, moves, 400, seed)
@@ -669,14 +678,14 @@ def test_walk_matches_apply_oracle():
 
 def test_walk_vs_exact_mixes_on_two_table_fiber():
     start = CellTable.from_rows([[1, 0], [0, 1]])
-    moves = MoveSet((QuadGen(1, 2, 1, 2),))
+    moves = (QuadGen(1, 2, 1, 2),)
     tv = walk_vs_exact(Subset.full(2, 2), start, moves, 10_000, seed=3)
     assert 0 <= tv < 0.05
 
 
 def test_walk_vs_exact_zero_steps_point_mass():
     start = CellTable.from_rows([[1, 0], [0, 1]])
-    moves = MoveSet((QuadGen(1, 2, 1, 2),))
+    moves = (QuadGen(1, 2, 1, 2),)
     tv = walk_vs_exact(Subset.full(2, 2), start, moves, 0, seed=3)
     assert tv == pytest.approx(1 - 1 / 2)
 
@@ -684,7 +693,7 @@ def test_walk_vs_exact_zero_steps_point_mass():
 def test_walk_tv_scores_the_given_trace():
     start = CellTable.from_rows([[1, 0], [0, 1]])
     s = Subset.full(2, 2)
-    moves = MoveSet((QuadGen(1, 2, 1, 2),))
+    moves = (QuadGen(1, 2, 1, 2),)
     trace = random_walk(s, start, moves, 777, seed=4)
     fiber = enumerate_fiber(s, margins(s, start))
     assert walk_tv(fiber, trace) == walk_vs_exact(s, start, moves, 777, seed=4)
@@ -694,7 +703,7 @@ def test_walk_vs_exact_trapped_when_moves_missing():
     # Start in one component of the frozen disconnected fiber: the walk
     # can never leave, so the distance to uniform stays large.
     start = CellTable.from_rows([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
-    tv = walk_vs_exact(DIAG3, start, MoveSet(()), 2_000, seed=5)
+    tv = walk_vs_exact(DIAG3, start, (), 2_000, seed=5)
     assert tv >= 0.4
 
 

@@ -14,6 +14,7 @@ from subtoric.ideal import (
     block_reduce,
     build_generators,
     minor_excluded,
+    move_keys,
     quad_membership,
 )
 from subtoric.tables import (
@@ -87,6 +88,26 @@ def test_expansion_rejects_a_quad_outside_the_shape():
         QuadGen(1, 2, 1, 3).expand(TableShape(2, 2))
     with pytest.raises(ValueError, match="does not fit"):
         QuadGen(1, 3, 1, 2).expand(TableShape(2, 2))
+
+
+def test_move_keys_are_the_keys_of_the_expansion():
+    for m in range(1, 6):
+        for n in range(1, 6):
+            shape = TableShape(m, n)
+            order = MonomialOrder(shape)
+            quads = all_quads(shape)
+            expected = [
+                (order.key(g.plus), order.key(g.minus))
+                for g in (q.expand(shape) for q in quads)
+            ]
+            assert move_keys(quads, order) == expected, shape
+
+
+def test_move_keys_reject_a_quad_outside_the_shape():
+    order = MonomialOrder(TableShape(2, 2))
+    for q in (QuadGen(1, 2, 1, 3), QuadGen(1, 3, 1, 2)):
+        with pytest.raises(ValueError, match="outside 2x2"):
+            move_keys([q], order)
 
 
 def test_all_quads_count_and_order():

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from subtoric.tables import (
+    MAX_JSON_CELLS,
     BudgetError,
     CellTable,
     Margins,
@@ -24,6 +25,7 @@ from subtoric.tables import (
 )
 from util import (
     classify_oracle_by_cells,
+    is_block_diagonal_in_place_by_cells,
     random_block,
     random_perm_pair,
     random_staircase,
@@ -93,21 +95,26 @@ def test_margins_shape_mismatch_rejected():
 
 
 def test_margins_sum_requires_equal_shape_vectors():
-    a = Margins((1, 0), (1, 0), 1, 0)
-    b = Margins((0, 1, 0), (1, 0), 1, 0)
+    a = Margins((1, 0), (1, 0), 1)
+    b = Margins((0, 1, 0), (1, 0), 1)
     with pytest.raises(ShapeMismatchError):
         a + b
 
 
 def test_margins_rejects_inconsistent_totals():
     with pytest.raises(ValueError):
-        Margins((1, 0), (1, 1), 1, 0)
-    with pytest.raises(ValueError):
-        Margins((1, 1), (1, 1), 1, 2)
+        Margins((1, 0), (1, 1), 1)
+    # The in/out split must fit the degree: out_sum is never negative.
+    for in_sum in (-1, 3):
+        with pytest.raises(ValueError):
+            Margins((1, 1), (1, 1), in_sum)
+    assert Margins((1, 1), (1, 1), 2).out_sum == 0
+    assert Margins((1, 1), (1, 1), 0).out_sum == 2
 
 
 def test_margins_json_round_trip():
-    img = Margins((2, 1), (1, 1, 1), 2, 1)
+    img = Margins((2, 1), (1, 1, 1), 2)
+    assert img.out_sum == 1
     d = img.to_json_dict()
     assert d == {"rows": [2, 1], "cols": [1, 1, 1], "s_sum": 2}
     assert Margins.from_json_dict(d) == img
@@ -197,6 +204,14 @@ def test_subset_json_rejects_out_of_range_cells():
         Subset.from_json({"m": 2, "n": 2, "cells": [[0, 1]]})
 
 
+def test_subset_json_refuses_a_shape_above_the_cell_limit():
+    assert Subset.from_json({"m": 1, "n": MAX_JSON_CELLS, "cells": [[1, 1]]}).size == 1
+    for m, n in ((1, MAX_JSON_CELLS + 1), (100_000, 100_000)):
+        with pytest.raises(ValueError, match=f"exceeds {MAX_JSON_CELLS} cells"):
+            Subset.from_json({"m": m, "n": n, "cells": []})
+    assert MAX_JSON_CELLS >= 1200
+
+
 @pytest.mark.parametrize(
     "doc",
     [
@@ -283,6 +298,25 @@ def test_block_in_place_examples():
     assert is_block_diagonal_in_place(S(2, 2, (1, 2), (2, 1))) is None
     assert is_block_diagonal_in_place(Subset.full(3, 3)) == (3, 3)
     assert is_block_diagonal_in_place(Subset.empty(3, 3)) == (3, 0)
+
+
+def test_block_in_place_matches_cell_by_cell_reference():
+    cells3 = TableShape(3, 3).cells()
+    cases = [
+        Subset.from_cells(3, 3, [c for p, c in enumerate(cells3) if bits >> p & 1])
+        for bits in range(512)
+    ]
+    rng = random.Random(709)
+    for m, n in [(4, 4), (4, 5), (5, 4), (5, 5)]:
+        cases += [Subset.full(m, n), Subset.empty(m, n)]
+        for _ in range(10):
+            block = random_block(rng, m, n)
+            perms = random_perm_pair(rng, m, n)
+            cases += [random_subset(rng, m, n), block, block.permuted(perms)]
+    for s in cases:
+        assert is_block_diagonal_in_place(s) == is_block_diagonal_in_place_by_cells(s), s
+    hits = sum(is_block_diagonal_in_place(s) is not None for s in cases)
+    assert 0 < hits < len(cases)
 
 
 def test_block_pattern_matches_in_place_recognizer():

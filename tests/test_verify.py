@@ -153,20 +153,59 @@ def test_negative_degree_bound_is_rejected():
 
 def test_staircase_leading_terms_must_be_the_antidiagonals(monkeypatch):
     # Under the bottom-row lex order the antidiagonal always leads, so the
-    # check can only trip when the generators come back the wrong way round.
-    from subtoric.ideal import GeneratorSet
+    # check can only trip when the move keys come back the wrong way round.
+    import subtoric.verify as verify_mod
 
-    original = GeneratorSet.binomials
+    original = verify_mod.move_keys
     monkeypatch.setattr(
-        GeneratorSet,
-        "binomials",
-        lambda self, order: [g.swapped() for g in original(self, order)],
+        verify_mod,
+        "move_keys",
+        lambda moves, order: [(d, a) for a, d in original(moves, order)],
     )
     with pytest.raises(
         VerificationError,
         match=r"leading term of \(1, 2, 1, 3\) is not the squarefree antidiagonal",
     ):
         verify_subset(S(3, 3, (1, 1), (1, 2), (2, 1)), 2)
+
+
+def test_certify_and_check_gb_never_expand_a_move(monkeypatch, tmp_path, capsys):
+    from subtoric import cli
+    from subtoric.ideal import QuadGen
+
+    expanded = []
+    original = QuadGen.expand
+
+    def counted(self, shape):
+        expanded.append(self)
+        return original(self, shape)
+
+    monkeypatch.setattr(QuadGen, "expand", counted)
+    stair = S(4, 4, (1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1))
+    rep = verify_subset(stair, 3)
+    assert rep.gb.passed and rep.gb.checked_pairs > 0
+    verify_subset(block_pattern(TableShape(4, 4), 2, 1), 3)
+    for text, code in (("110\n100\n000\n", 0), ("0000\n0100\n0000\n0000\n", 1)):
+        path = tmp_path / "s.txt"
+        path.write_text(text)
+        assert cli.main(["check-gb", str(path)]) == code
+    capsys.readouterr()
+    assert expanded == []
+
+
+def test_staircase_gb_report_equals_the_binomial_report():
+    from subtoric.binomials import MonomialOrder, buchberger_check
+    from subtoric.ideal import build_generators
+
+    for s in (
+        S(3, 3, (1, 1), (1, 2), (2, 1)),
+        S(4, 4, (2, 2)),
+        S(5, 4, (1, 1), (1, 2), (1, 3), (2, 1), (3, 1)),
+    ):
+        rep = verify_subset(s, 2)
+        order = MonomialOrder(s.shape)
+        gens = build_generators(rep.canonical).binomials(order)
+        assert rep.gb == buchberger_check(gens, order)
 
 
 def test_block_branch_builds_each_generator_set_once(monkeypatch):

@@ -3,14 +3,14 @@ a table-scanning census oracle, a fiber-listing partition oracle, a move
 expansion by products of cell variables, a division and Buchberger
 oracle that works on CellTables with a linear divisor scan, walk and
 component oracles that move CellTables one ``apply_move`` at a time, a
-permutation oracle that packs every pair cell by cell, and a fiber hunt
-over ``fibers_of_degree``."""
+two-block test and a permutation oracle that check cell by cell, and a
+fiber hunt over ``fibers_of_degree``."""
 
 from __future__ import annotations
 
 import random
 from itertools import permutations
-from typing import Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 from subtoric.binomials import (
     Binomial,
@@ -27,7 +27,6 @@ from subtoric.fibers import (
     CensusRow,
     Fiber,
     GenerationCheck,
-    MoveSet,
     WalkTrace,
     _check_degree_budget,
     _margin_parts,
@@ -218,13 +217,13 @@ def buchberger_by_scan(
 
 
 def random_walk_by_apply(
-    s: Subset, start: CellTable, moves: MoveSet, steps: int, seed: int
+    s: Subset, start: CellTable, moves: Collection[QuadGen], steps: int, seed: int
 ) -> WalkTrace:
     """The lazy walk on CellTables: ``apply_move`` per proposal and a
     margin re-check after every applied move, drawing one randrange and
     one choice of sign per step."""
     start_key = margins(s, start)
-    pool = moves.moves
+    pool = tuple(moves)
     rng = random.Random(seed)
     counts: dict[CellTable, int] = {start: 1}
     current = start
@@ -244,7 +243,7 @@ def random_walk_by_apply(
 
 
 def fiber_components_by_apply(
-    fiber: Fiber, moves: MoveSet
+    fiber: Fiber, moves: Iterable[QuadGen]
 ) -> list[tuple[CellTable, ...]]:
     """Components by ``apply_move`` on every table, move and sign, joined
     by union-find; largest first, ties by the smallest flat entries."""
@@ -275,6 +274,26 @@ def fiber_components_by_apply(
     comps = [tuple(ts) for ts in buckets.values()]
     comps.sort(key=lambda c: (-len(c), c[0].flat))
     return comps
+
+
+def is_block_diagonal_in_place_by_cells(s: Subset) -> Optional[tuple[int, int]]:
+    """The two-block test cell by cell: every (r, c), largest top-left
+    block first, against every cell of the mask."""
+    m, n = s.shape.m, s.shape.n
+    for r in range(m, -1, -1):
+        for c in range(n, -1, -1):
+            ok = True
+            for i in range(m):
+                for j in range(n):
+                    want = (i < r and j < c) or (i >= r and j >= c)
+                    if s.mask[i][j] != want:
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if ok:
+                return (r, c)
+    return None
 
 
 def classify_oracle_by_cells(s: Subset, max_side: int = 5) -> Classification:
@@ -324,9 +343,8 @@ def generation_check_by_listing(
     """The fiber hunt over ``fibers_of_degree``: every fiber of every
     degree in margin-key order, each of more than one table split into
     components by ``fiber_components``."""
-    moves = MoveSet.from_generators(gens)
     for d in range(max_degree + 1):
         for fiber in fibers_of_degree(s, d, budget):
-            if fiber.size > 1 and len(fiber_components(fiber, moves)) > 1:
+            if fiber.size > 1 and len(fiber_components(fiber, gens)) > 1:
                 return GenerationCheck(False, max_degree, fiber)
     return GenerationCheck(True, max_degree, None)
