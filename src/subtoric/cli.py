@@ -105,10 +105,10 @@ def _cmd_classify(args) -> int:
 def _cmd_gens(args) -> int:
     s = _load_subset(args.subset)
     gset = build_generators(s)
-    order = MonomialOrder(s.shape)
     lines = [f"generators: {len(gset)}"]
-    for q, g in zip(gset, gset.binomials(order)):
-        lines.append(f"  {q.as_tuple}  {g}")
+    if not args.json:
+        binomials = gset.binomials(MonomialOrder(s.shape))
+        lines += [f"  {q.as_tuple}  {g}" for q, g in zip(gset, binomials)]
     payload = {
         "count": len(gset),
         "generators": [list(q.as_tuple) for q in gset],

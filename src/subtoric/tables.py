@@ -169,7 +169,8 @@ class Subset:
     @classmethod
     def from_json(cls, data) -> "Subset":
         """Parse {"m": int, "n": int, "cells": [[i, j], ...]}, 1-based;
-        strings, floats and booleans are not integers here."""
+        strings, floats and booleans are not integers here.  A subset is
+        a set of cells, so a cell listed twice counts once."""
         if isinstance(data, (str, bytes)):
             data = json.loads(data)
         try:

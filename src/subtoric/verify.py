@@ -1,11 +1,11 @@
 """One-subset verification pipeline.
 
-Classifies the subset, then certifies what the classification promises:
-staircase patterns get a Buchberger pass and a balanced census on their
-canonical form, block-diagonal patterns are reduced to their top-left
-block and certified there, and everything else is searched for a
-disconnected fiber that explains why quadratic moves cannot suffice.
-A failed certification on a classified pattern is impossible unless the
+Classifies the subset, then certifies one staircase: a triangular
+pattern's canonical form, or a block-diagonal pattern's top-left block.
+A subset in both classes is a full rectangle, its own block reduction,
+and is certified once.  Everything else is searched for a disconnected
+fiber that explains why quadratic moves cannot suffice.  A failed
+certification on a classified pattern is impossible unless the
 implementation is wrong, and raises VerificationError.
 """
 
@@ -109,12 +109,11 @@ def _certify_staircase(
 def verify_subset(
     s: Subset, max_degree: int = 4, budget: Budget = DEFAULT_BUDGET
 ) -> VerificationReport:
-    """Classify, then certify along every branch the classification opens.
-
-    Triangular: canonical form must pass Buchberger and balance the
-    census.  Block diagonal: the reduced pattern must carry the same
-    generators and the same fibers up to the bound, compared by counting
-    margin values (see same_fibers), then certify the reduced staircase.
+    """Classify, then certify the one staircase the classification names:
+    the canonical form if triangular, else the block reduction, once it
+    is shown to keep the generators and, by counting margin values (see
+    same_fibers), the fibers up to the bound.  In both classes the subset
+    is a full rectangle, its own reduction, so nothing is counted.
     Neither: hunt for a disconnected fiber; finding none up to the bound
     is reported as witness None, not as success of any generation claim.
     """
@@ -125,36 +124,36 @@ def verify_subset(
             f"degree bound {max_degree} exceeds budget {budget.max_degree}"
         )
     cls = classify(s)
-    gb = census = block = witness = canonical = None
+    target = gset = gb = census = block = witness = None
 
     if cls.triangular is not None:
-        canonical = s.permuted(cls.triangular)
-        gb, census = _certify_staircase(
-            canonical, build_generators(canonical), max_degree, budget
-        )
+        target = s.permuted(cls.triangular)
+        gset = build_generators(target)
 
     if cls.block_diagonal is not None:
-        w = cls.block_diagonal
-        moved = s.permuted(w.perms)
-        reduced = block_reduce(s, w)
-        reduced_gens = build_generators(reduced)
-        generators_match = build_generators(moved).index_set == reduced_gens.index_set
-        fibers_match = same_fibers(moved, reduced, max_degree, budget)
-        if not (generators_match and fibers_match):
+        moved = s.permuted(cls.block_diagonal.perms)
+        reduced = block_reduce(s, cls.block_diagonal)
+        if target is None:
+            gset = build_generators(reduced)
+            generators_match = build_generators(moved).index_set == gset.index_set
+            fibers_match = same_fibers(moved, reduced, max_degree, budget)
+            if not (generators_match and fibers_match):
+                raise VerificationError(
+                    f"block reduction mismatch: generators_match={generators_match}, "
+                    f"fibers_match={fibers_match}"
+                )
+            target = reduced
+        elif not moved == reduced == target:
             raise VerificationError(
-                f"block reduction mismatch: generators_match={generators_match}, "
-                f"fibers_match={fibers_match}"
+                "block reduction of a triangular subset is not the subset "
+                f"itself in staircase form: {reduced.cells}"
             )
-        block = BlockReduction(reduced, generators_match, fibers_match)
-        reduced_gb, reduced_census = _certify_staircase(
-            reduced, reduced_gens, max_degree, budget
-        )
-        if gb is None:
-            gb, census, canonical = reduced_gb, reduced_census, reduced
+        block = BlockReduction(reduced, True, True)
 
-    if cls.is_neither:
-        check = generation_check(s, build_generators(s), max_degree, budget)
-        witness = check.witness
+    if target is not None:
+        gb, census = _certify_staircase(target, gset, max_degree, budget)
+    else:
+        witness = generation_check(s, build_generators(s), max_degree, budget).witness
 
     return VerificationReport(
         classification=cls,
@@ -163,5 +162,5 @@ def verify_subset(
         census=census,
         block_reduction=block,
         neither_witness=witness,
-        canonical=canonical,
+        canonical=target,
     )

@@ -90,6 +90,40 @@ def test_gens_full_2x2(tmp_path):
     assert payload["count"] == 1
 
 
+def test_gens_text_golden_on_3x3_staircase(tmp_path, capsys):
+    from subtoric import cli
+
+    assert cli.main(["gens", write_subset(tmp_path, STAIR3)]) == 0
+    assert capsys.readouterr().out == (
+        "generators: 3\n"
+        "  (1, 2, 1, 3)  x13*x21-x11*x23\n"
+        "  (1, 3, 1, 2)  x12*x31-x11*x32\n"
+        "  (2, 3, 2, 3)  x23*x32-x22*x33\n"
+    )
+
+
+def test_gens_json_expands_no_move(monkeypatch, tmp_path, capsys):
+    from subtoric import cli
+    from subtoric.ideal import QuadGen
+
+    expanded = []
+    original = QuadGen.expand
+
+    def counted(self, shape):
+        expanded.append(self)
+        return original(self, shape)
+
+    monkeypatch.setattr(QuadGen, "expand", counted)
+    path = write_subset(tmp_path, "1111\n" * 4)
+    assert cli.main(["gens", "--json", path]) == 0
+    assert json.loads(capsys.readouterr().out)["payload"]["count"] == 36
+    assert expanded == []
+    # The text listing still writes every move's binomial.
+    assert cli.main(["gens", path]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 37
+    assert len(expanded) == 36
+
+
 # ----------------------------------------------------------------- check-gb
 
 def test_check_gb_passes_on_staircase(tmp_path):
@@ -165,6 +199,84 @@ def test_verify_json_is_byte_identical(tmp_path):
     b = run_cli("verify", "--degree", "4", "--json", path)
     assert a.stdout == b.stdout
     assert a.returncode == b.returncode == 0
+
+
+# verify --degree 3 output, text and --json, one subset per class
+# combination.  Each JSON golden is the compact document; the CLI prints it
+# with indent=2 and sorted keys.
+VERIFY_GOLDENS = {
+    # Both classes: a full rectangle, its own block reduction.
+    "111\n111\n000\n": (
+        "class: both\n"
+        "canonical form: 111 / 111 / 000\n"
+        "gb: pass (checked 17 pairs, skipped 19 coprime)\n"
+        "census degree 0: standard 1 fiber 1 balanced\n"
+        "census degree 1: standard 9 fiber 9 balanced\n"
+        "census degree 2: standard 36 fiber 36 balanced\n"
+        "census degree 3: standard 100 fiber 100 balanced\n"
+        "block reduction: 111 / 111 / 000  generators_match=True fibers_match=True\n",
+        '{"command":"verify","payload":{"block_reduction":{"fibers_match":true,'
+        '"generators_match":true,"reduced":{"cells":[[1,1],[1,2],[1,3],[2,1],[2,2],'
+        '[2,3]],"m":3,"n":3}},"census":[{"degree":0,"fiber_count":1,'
+        '"standard_count":1},{"degree":1,"fiber_count":9,"standard_count":9},'
+        '{"degree":2,"fiber_count":36,"standard_count":36},{"degree":3,'
+        '"fiber_count":100,"standard_count":100}],"classification":'
+        '{"block_diagonal":{"c":3,"perms":{"cols":[1,2,3],"rows":[1,2,3]},"r":2},'
+        '"triangular":{"cols":[1,2,3],"rows":[1,2,3]}},"gb":{"checked_pairs":17,'
+        '"failure":null,"pass":true,"skipped_coprime":19},"neither_witness":null}}',
+    ),
+    # Block diagonal only.
+    "1100\n1100\n0011\n0011\n": (
+        "class: block diagonal\n"
+        "canonical form: 1100 / 1100 / 0000 / 0000\n"
+        "gb: pass (checked 48 pairs, skipped 142 coprime)\n"
+        "census degree 0: standard 1 fiber 1 balanced\n"
+        "census degree 1: standard 16 fiber 16 balanced\n"
+        "census degree 2: standard 116 fiber 116 balanced\n"
+        "census degree 3: standard 544 fiber 544 balanced\n"
+        "block reduction: 1100 / 1100 / 0000 / 0000  "
+        "generators_match=True fibers_match=True\n",
+        '{"command":"verify","payload":{"block_reduction":{"fibers_match":true,'
+        '"generators_match":true,"reduced":{"cells":[[1,1],[1,2],[2,1],[2,2]],'
+        '"m":4,"n":4}},"census":[{"degree":0,"fiber_count":1,"standard_count":1},'
+        '{"degree":1,"fiber_count":16,"standard_count":16},{"degree":2,'
+        '"fiber_count":116,"standard_count":116},{"degree":3,"fiber_count":544,'
+        '"standard_count":544}],"classification":{"block_diagonal":{"c":2,'
+        '"perms":{"cols":[1,2,3,4],"rows":[1,2,3,4]},"r":2},"triangular":null},'
+        '"gb":{"checked_pairs":48,"failure":null,"pass":true,"skipped_coprime":142},'
+        '"neither_witness":null}}',
+    ),
+    # Triangular only: a column-permuted staircase.
+    "0111\n0011\n0001\n": (
+        "class: triangular\n"
+        "canonical form: 1110 / 1100 / 1000\n"
+        "gb: pass (checked 8 pairs, skipped 20 coprime)\n"
+        "census degree 0: standard 1 fiber 1 balanced\n"
+        "census degree 1: standard 12 fiber 12 balanced\n"
+        "census degree 2: standard 70 fiber 70 balanced\n"
+        "census degree 3: standard 276 fiber 276 balanced\n",
+        '{"command":"verify","payload":{"block_reduction":null,"census":[{"degree":0,'
+        '"fiber_count":1,"standard_count":1},{"degree":1,"fiber_count":12,'
+        '"standard_count":12},{"degree":2,"fiber_count":70,"standard_count":70},'
+        '{"degree":3,"fiber_count":276,"standard_count":276}],"classification":'
+        '{"block_diagonal":null,"triangular":{"cols":[4,3,2,1],"rows":[1,2,3]}},'
+        '"gb":{"checked_pairs":8,"failure":null,"pass":true,"skipped_coprime":20},'
+        '"neither_witness":null}}',
+    ),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(VERIFY_GOLDENS))
+def test_verify_output_golden(tmp_path, capsys, grid):
+    from subtoric import cli
+
+    text, compact = VERIFY_GOLDENS[grid]
+    path = write_subset(tmp_path, grid)
+    assert cli.main(["verify", "--degree", "3", path]) == 0
+    assert capsys.readouterr().out == text
+    assert cli.main(["verify", "--degree", "3", "--json", path]) == 0
+    expected = json.dumps(json.loads(compact), indent=2, sort_keys=True) + "\n"
+    assert capsys.readouterr().out == expected
 
 
 # -------------------------------------------------------------------- fiber
@@ -338,6 +450,20 @@ def test_subset_json_naming_a_huge_shape_exits_2(tmp_path, capsys):
             "error: subset JSON shape 100000x100000 exceeds 10000 cells"
         )
         assert [ln for ln in lines if ln.startswith("error: ")] == lines[:1]
+
+
+def test_subset_json_duplicate_cells_are_merged(tmp_path, capsys):
+    # A subset is a set of cells: a cell listed twice counts once.
+    from subtoric import cli
+
+    once = write_subset(tmp_path, '{"m":2,"n":2,"cells":[[1,1]]}', "once.json")
+    twice = write_subset(tmp_path, '{"m":2,"n":2,"cells":[[1,1],[1,1]]}', "twice.json")
+    for argv in (["classify"], ["classify", "--json"], ["gens"], ["gens", "--json"]):
+        outs = []
+        for path in (once, twice):
+            assert cli.main(argv + [path]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1], argv
 
 
 def test_walk_negative_steps_exits_2(tmp_path):

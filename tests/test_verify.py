@@ -227,3 +227,68 @@ def test_block_branch_builds_each_generator_set_once(monkeypatch):
     assert sorted(built, key=Subset.to_text) == sorted(
         [moved, rep.block_reduction.reduced], key=Subset.to_text
     )
+    # Both classes: the canonical form is the reduction, built once.
+    built.clear()
+    rep = verify_subset(S(3, 4, (2, 1), (2, 2), (2, 3), (2, 4)), 3)
+    assert rep.classification.triangular is not None
+    assert rep.block_reduction.reduced == rep.canonical
+    assert built == [rep.canonical]
+
+
+def test_each_classified_subset_is_certified_once(monkeypatch):
+    import subtoric.verify as verify_mod
+
+    certified = []
+    original = verify_mod._certify_staircase
+
+    def counted(s, gset, max_degree, budget):
+        certified.append(s)
+        return original(s, gset, max_degree, budget)
+
+    monkeypatch.setattr(verify_mod, "_certify_staircase", counted)
+    both = 0
+    for m in range(1, 4):
+        for n in range(1, 5):
+            for bits in range(1 << (m * n)):
+                s = Subset.from_cells(
+                    m, n, [(k // n + 1, k % n + 1) for k in range(m * n) if bits >> k & 1]
+                )
+                certified.clear()
+                rep = verify_subset(s, 1)
+                cls = rep.classification
+                both += cls.triangular is not None and cls.block_diagonal is not None
+                assert certified == ([] if cls.is_neither else [rep.canonical]), s
+    assert both > 0
+
+
+def test_both_classes_count_no_fibers(monkeypatch):
+    import subtoric.verify as verify_mod
+
+    def no_counting(*_args):
+        raise AssertionError("same_fibers on a pattern equal to its reduction")
+
+    monkeypatch.setattr(verify_mod, "same_fibers", no_counting)
+    for s in (
+        Subset.full(5, 5),
+        S(5, 5, *[(i, j) for i in (1, 2) for j in range(1, 6)]),
+        S(3, 3, (1, 2), (2, 2), (3, 2)),
+        Subset.empty(2, 3),
+    ):
+        rep = verify_subset(s, 3)
+        w = rep.classification.block_diagonal
+        assert rep.classification.triangular is not None and w is not None
+        assert s.permuted(w.perms) == rep.block_reduction.reduced == rep.canonical
+        assert rep.block_reduction.generators_match and rep.block_reduction.fibers_match
+        assert rep.gb.passed and all(r.balanced for r in rep.census)
+
+
+def test_both_classes_reduction_must_be_the_canonical_form(monkeypatch):
+    import subtoric.verify as verify_mod
+
+    monkeypatch.setattr(verify_mod, "block_reduce", lambda s, w: S(3, 3, (1, 1)))
+    with pytest.raises(VerificationError) as err:
+        verify_subset(Subset.full(3, 3), 2)
+    assert str(err.value) == (
+        "block reduction of a triangular subset is not the subset itself "
+        "in staircase form: ((1, 1),)"
+    )
