@@ -577,59 +577,74 @@ def classify(s: Subset) -> Classification:
 
 
 # ---------------------------------------------------------------------------
-# Brute-force oracle
-
-def _packed_tri_masks(m: int, n: int) -> tuple[int, int]:
-    rows2 = cols2 = 0
-    for i in range(m):
-        for j in range(n):
-            b = 1 << (i * n + j)
-            if i >= 1:
-                rows2 |= b
-            if j >= 1:
-                cols2 |= b
-    return rows2, cols2
+# Permutation oracle: each class checked from its definition, one
+# permutation axis at a time where the definition splits
 
 
 def classify_oracle(s: Subset, max_side: int = 5) -> Classification:
-    """Definition-checking oracle: try every row/column permutation pair.
+    """Definition-checking oracle over every row/column permutation pair,
+    rows outer and columns inner, keeping the first witness of each class.
 
-    Exponential in the table sides; refuses shapes beyond max_side.
-    Witnesses may differ from classify's, the flags never do.
+    S is a staircase after (rp, cp) iff each target row lies inside the
+    row above it, which only rp decides, and each row is a left-justified
+    run, which only cp decides; so the triangular witness pairs the first
+    such rp with the first such cp.  Sorted row and column sums survive
+    every permutation, so the pair loop for the two-block class runs only
+    when they equal those of some block pattern.  Exponential in the table
+    sides; refuses shapes beyond max_side.  Witnesses may differ from
+    classify's, the flags never do.
     """
     m, n = s.shape.m, s.shape.n
     if m > max_side or n > max_side:
         raise BudgetError(
             f"oracle budget is {max_side}x{max_side}, got {s.shape}"
         )
-    rows2, cols2 = _packed_tri_masks(m, n)
-    blocks = _packed_blocks(m, n)
-    col_perms = list(permutations(range(n)))
-    # shifted[c][i][r]: row i of S, columns permuted by col_perms[c],
-    # placed in row r.  Rows are disjoint, so summing one shifted row per
-    # source row packs the permuted subset.
     hits = [[j for j, hit in enumerate(row) if hit] for row in s.mask]
-    shifts = [r * n for r in range(m)]
-    shifted = []
+    masks = [sum(1 << j for j in h) for h in hits]
+
+    def nests(rp: tuple[int, ...]) -> bool:
+        # rp sends source row i to target row rp[i]; read S's rows in
+        # target order, each inside the one above it.
+        target = [masks[i] for i in sorted(range(m), key=rp.__getitem__)]
+        return not any(b & ~a for a, b in zip(target, target[1:]))
+
+    tri_rp = next(filter(nests, permutations(range(m))), None)
+    sums = (sorted(map(len, hits)), sorted(map(sum, zip(*s.mask))))
+    sums_match_block = sums in [
+        (sorted([c] * r + [n - c] * (m - r)), sorted([r] * c + [m - r] * (n - c)))
+        for r in range(m + 1)
+        for c in range(n + 1)
+    ]
+    if tri_rp is None and not sums_match_block:
+        return Classification()
+    col_perms = list(permutations(range(n)))
+    # permuted[c][i]: row i of S with columns permuted by col_perms[c].
+    permuted = []
     for cp in col_perms:
         col_bits = [1 << c for c in cp]
-        row_bits = (sum(map(col_bits.__getitem__, h)) for h in hits)
-        shifted.append([tuple(map(b.__lshift__, shifts)) for b in row_bits])
+        permuted.append([sum(map(col_bits.__getitem__, h)) for h in hits])
 
     def pair(rp: tuple[int, ...], cp: tuple[int, ...]) -> PermPair:
         return PermPair(tuple(v + 1 for v in rp), tuple(v + 1 for v in cp))
 
     tri: Optional[PermPair] = None
-    blk: Optional[BlockWitness] = None
-    for rp in permutations(range(m)):
-        for cp, per_row in zip(col_perms, shifted):
-            bits = sum(map(getitem, per_row, rp))
-            if tri is None and not (
-                bits & rows2 & ~(bits << n) or bits & cols2 & ~(bits << 1)
-            ):
-                tri = pair(rp, cp)
-            if blk is None and bits in blocks:
-                blk = BlockWitness(*blocks[bits], pair(rp, cp))
-            if tri is not None and blk is not None:
-                return Classification(tri, blk)
-    return Classification(tri, blk)
+    if tri_rp is not None:
+        for cp, rows in zip(col_perms, permuted):
+            if not any(r & (r + 1) for r in rows):
+                tri = pair(tri_rp, cp)
+                break
+    if sums_match_block:
+        blocks = _packed_blocks(m, n)
+        # Each row pre-shifted to every target row; rows are disjoint, so
+        # summing one shifted row per source row packs the permuted subset.
+        shifts = [r * n for r in range(m)]
+        shifted = [
+            [tuple(map(b.__lshift__, shifts)) for b in rows] for rows in permuted
+        ]
+        for rp in permutations(range(m)):
+            for cp, per_row in zip(col_perms, shifted):
+                bits = sum(map(getitem, per_row, rp))
+                if bits in blocks:
+                    blk = BlockWitness(*blocks[bits], pair(rp, cp))
+                    return Classification(tri, blk)
+    return Classification(tri)

@@ -72,6 +72,50 @@ def test_classify_oracle_flag_agrees(tmp_path):
     assert (fast["block_diagonal"] is None) == (slow["block_diagonal"] is None)
 
 
+# classify --oracle output, text and --json, one subset per class
+# combination; the JSON golden is compact, as in VERIFY_GOLDENS below.
+ORACLE_GOLDENS = {
+    "111\n111\n000\n": (
+        "triangular: yes  row_perm=[1, 2, 3] col_perm=[1, 2, 3]\n"
+        "block diagonal: yes  r=2 c=3\n"
+        "class: both\n",
+        '{"command":"classify","payload":{"block_diagonal":{"c":3,"perms":'
+        '{"cols":[1,2,3],"rows":[1,2,3]},"r":2},"triangular":{"cols":[1,2,3],'
+        '"rows":[1,2,3]}}}',
+    ),
+    "1100\n1100\n0011\n0011\n": (
+        "triangular: no\nblock diagonal: yes  r=2 c=2\nclass: block diagonal\n",
+        '{"command":"classify","payload":{"block_diagonal":{"c":2,"perms":'
+        '{"cols":[1,2,3,4],"rows":[1,2,3,4]},"r":2},"triangular":null}}',
+    ),
+    "0111\n0011\n0001\n": (
+        "triangular: yes  row_perm=[1, 2, 3] col_perm=[4, 3, 2, 1]\n"
+        "block diagonal: no\n"
+        "class: triangular\n",
+        '{"command":"classify","payload":{"block_diagonal":null,"triangular":'
+        '{"cols":[4,3,2,1],"rows":[1,2,3]}}}',
+    ),
+    # Row and column sums of the 2+2 block pattern, but a 4-cycle.
+    "1100\n0110\n0011\n1001\n": (
+        "triangular: no\nblock diagonal: no\nclass: neither\n",
+        '{"command":"classify","payload":{"block_diagonal":null,"triangular":null}}',
+    ),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(ORACLE_GOLDENS))
+def test_classify_oracle_output_golden(tmp_path, capsys, grid):
+    from subtoric import cli
+
+    text, compact = ORACLE_GOLDENS[grid]
+    path = write_subset(tmp_path, grid)
+    assert cli.main(["classify", "--oracle", path]) == 0
+    assert capsys.readouterr().out == text
+    assert cli.main(["classify", "--oracle", "--json", path]) == 0
+    expected = json.dumps(json.loads(compact), indent=2, sort_keys=True) + "\n"
+    assert capsys.readouterr().out == expected
+
+
 # -------------------------------------------------------------------- gens
 
 def test_gens_empty_listing(tmp_path):

@@ -477,6 +477,61 @@ def test_oracle_matches_cell_oracle_on_seeded_subsets():
     assert min(seen.values()) >= 2, seen
 
 
+def test_oracle_matches_cell_oracle_on_every_thin_subset():
+    # Shapes with a side of 1 or 2 reach 5 on the other side, where the
+    # row and column checks each run over up to 120 permutations.
+    for m, n in [(1, 5), (5, 1), (2, 4), (4, 2)]:
+        for bits in range(1 << (m * n)):
+            cells = [(k // n + 1, k % n + 1) for k in range(m * n) if bits >> k & 1]
+            s = Subset.from_cells(m, n, cells)
+            assert classify_oracle(s) == classify_oracle_by_cells(s), s.to_text()
+
+
+def test_oracle_triangular_witness_walks_row_perms_not_inverses():
+    # Rows nest only as source 3 over 1 over 2, so the one nesting row
+    # permutation sends 1->2, 2->3, 3->1: a 3-cycle, not its own inverse.
+    s = Subset.from_text("110\n100\n111\n")
+    witness = PermPair((2, 3, 1), (1, 2, 3))
+    assert witness.inverse() != witness
+    res = classify_oracle(s)
+    assert res == classify_oracle_by_cells(s)
+    assert res.triangular == witness
+    assert is_triangular_in_place(s.permuted(witness))
+
+
+@pytest.mark.parametrize(
+    "text, r, c",
+    [
+        ("1100\n0110\n0011\n1001\n", 2, 2),
+        ("11000\n01100\n00111\n10011\n10011\n", 2, 2),
+    ],
+)
+def test_oracle_block_sum_decoys_are_not_blocks(text, r, c):
+    s = Subset.from_text(text)
+    pattern = block_pattern(s.shape, r, c)
+
+    def sums(t):
+        return sorted(map(sum, t.mask)), sorted(map(sum, zip(*t.mask)))
+
+    assert sums(s) == sums(pattern)
+    res = classify_oracle(s)
+    assert res.block_diagonal is None
+    assert res == classify_oracle_by_cells(s)
+
+
+def test_oracle_finds_every_permuted_block_pattern():
+    rng = random.Random(109)
+    for m in range(1, 6):
+        for n in range(1, 6):
+            shape = TableShape(m, n)
+            patterns = {block_pattern(shape, r, c) for r in range(m + 1) for c in range(n + 1)}
+            for pattern in sorted(patterns, key=Subset.to_text):
+                s = pattern.permuted(random_perm_pair(rng, m, n))
+                res = classify_oracle(s)
+                assert res.block_diagonal is not None, s.to_text()
+                assert res == classify_oracle_by_cells(s), s.to_text()
+
+
 def test_oracle_refuses_oversized_tables():
     with pytest.raises(BudgetError):
         classify_oracle(Subset.empty(6, 3))

@@ -44,7 +44,6 @@ from subtoric.tables import (
     Subset,
     TableShape,
     _packed_blocks,
-    _packed_tri_masks,
     margins,
 )
 
@@ -294,6 +293,18 @@ def is_block_diagonal_in_place_by_cells(s: Subset) -> Optional[tuple[int, int]]:
             if ok:
                 return (r, c)
     return None
+
+
+def _packed_tri_masks(m: int, n: int) -> tuple[int, int]:
+    rows2 = cols2 = 0
+    for i in range(m):
+        for j in range(n):
+            b = 1 << (i * n + j)
+            if i >= 1:
+                rows2 |= b
+            if j >= 1:
+                cols2 |= b
+    return rows2, cols2
 
 
 def classify_oracle_by_cells(s: Subset, max_side: int = 5) -> Classification:
