@@ -89,14 +89,11 @@ def orient(f: Binomial, order: MonomialOrder) -> Binomial:
     return f if f.is_oriented(order) else f.swapped()
 
 
-def _require_oriented(f: Binomial, order: MonomialOrder, who: str) -> None:
-    if not f.is_oriented(order):
-        raise ValueError(f"{who} requires oriented input, got {f}")
-
-
 def _oriented_keys(f: Binomial, order: MonomialOrder, who: str) -> Pair:
-    _require_oriented(f, order, who)
-    return order.key(f.plus), order.key(f.minus)
+    plus, minus = order.key(f.plus), order.key(f.minus)
+    if not plus > minus:
+        raise ValueError(f"{who} requires oriented input, got {f}")
+    return plus, minus
 
 
 def s_polynomial(
@@ -106,8 +103,8 @@ def s_polynomial(
 
     None when the combination collapses, e.g. for equal inputs.
     """
-    _require_oriented(g1, order, "s_polynomial")
-    _require_oriented(g2, order, "s_polynomial")
+    _oriented_keys(g1, order, "s_polynomial")
+    _oriented_keys(g2, order, "s_polynomial")
     big = g1.plus.lcm(g2.plus)
     a = (big // g2.plus) * g2.minus
     b = (big // g1.plus) * g1.minus

@@ -14,7 +14,8 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Collection, Iterable, Optional, Sequence
+from itertools import chain
+from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 from subtoric.binomials import MonomialOrder
 from subtoric.ideal import GeneratorSet, QuadGen
@@ -221,11 +222,6 @@ def fibers_of_degree(
 # Moves and connectivity
 
 
-# Old callers' name for a tuple of moves.
-class MoveSet(tuple):
-    from_generators = classmethod(tuple.__new__)
-
-
 def apply_move(t: CellTable, q: QuadGen, sign: int) -> Optional[CellTable]:
     """The moved table, or None when an entry would go negative."""
     if sign not in (1, -1):
@@ -241,10 +237,9 @@ def apply_move(t: CellTable, q: QuadGen, sign: int) -> Optional[CellTable]:
 
 
 _Step = tuple[tuple[int, int], tuple[int, int]]
-_Signed = tuple[_Step, _Step]
 
 
-def _signed_steps(shape: TableShape, moves: Iterable[QuadGen]) -> list[_Signed]:
+def _signed_steps(shape: TableShape, moves: Iterable[QuadGen]) -> list[tuple[_Step, _Step]]:
     """Each move as its steps at sign +1 and -1.  A step is a pair of
     flat (up, down) cell indices: it adds one to both up cells and takes
     one from both down cells.  At sign +1 the diagonal goes up."""
@@ -265,12 +260,9 @@ def fiber_components(
     """Connected components of the fiber under the moves, largest first;
     ties broken by the smallest flat entry sequence."""
     shape = TableShape(len(fiber.key.row_sums), len(fiber.key.col_sums))
-    return _components(fiber, _signed_steps(shape, moves))
-
-
-def _components(fiber: Fiber, signed: list[_Signed]) -> list[tuple[CellTable, ...]]:
+    steps = list(chain.from_iterable(_signed_steps(shape, moves)))
     buckets: dict[int, list[CellTable]] = {}
-    roots = _component_roots([t.flat for t in fiber.tables], signed)
+    roots = _component_roots([t.flat for t in fiber.tables], steps)
     for root, t in zip(roots, fiber.tables):
         buckets.setdefault(root, []).append(t)
     comps = [tuple(ts) for ts in buckets.values()]
@@ -278,10 +270,9 @@ def _components(fiber: Fiber, signed: list[_Signed]) -> list[tuple[CellTable, ..
     return comps
 
 
-def _component_roots(flats: Sequence[tuple[int, ...]], signed: list[_Signed]) -> list[int]:
+def _component_roots(flats: Sequence[tuple[int, ...]], steps: list[_Step]) -> list[int]:
     """Union-find over flat tables of one fiber: for each table, the
     position of the first table in its component under the steps."""
-    steps = [step for pair in signed for step in pair]
     index = {f: pos for pos, f in enumerate(flats)}
     parent = list(range(len(flats)))
 
@@ -349,7 +340,7 @@ def generation_check(
                 if len(fiber) == 1:
                     continue
                 if steps is None:
-                    steps = _signed_steps(s.shape, gens)
+                    steps = list(chain.from_iterable(_signed_steps(s.shape, gens)))
                 if any(_component_roots(fiber, steps)):
                     key = Margins(rows, cols, in_sum)
                     tables = tuple(_from_flat(s.shape, f) for f in fiber)
@@ -424,14 +415,15 @@ def _independent_set_counts(adjacent: Sequence[int], size: int) -> list[int]:
     return counts
 
 
-def _margin_value_counts(masks: Sequence[Subset], size: int) -> list[int]:
-    """Number of distinct values of degree d, for d = 0..size, of the map
+def _margin_values(masks: Sequence[Subset], size: int) -> Iterator[set[int]]:
+    """The distinct values of degree d, for d = 0..size, of the map
     sending a table to its row sums, column sums and its sum over each of
     the masks (all on one shape).
 
     Each cell becomes one integer packing its row, column and one
     indicator per mask in base size + 1, so no field carries and a sum of
     d cells packs exactly the value of the degree-d table they form.
+    Mask k's field has place value (size + 1) ** (m + n + k).
     """
     m, n = masks[0].shape.m, masks[0].shape.n
     base = size + 1
@@ -443,11 +435,10 @@ def _margin_value_counts(masks: Sequence[Subset], size: int) -> list[int]:
         for j in range(n)
     ]
     reach = {0}
-    counts = [1]
+    yield reach
     for _ in range(size):
         reach = {p + c for p in reach for c in cells}
-        counts.append(len(reach))
-    return counts
+        yield reach
 
 
 def same_fibers(
@@ -455,16 +446,21 @@ def same_fibers(
 ) -> bool:
     """Do the sums over a and over b split the tables of every degree up
     to max_degree into the same fibers?  Two maps give one partition
-    exactly when each has as many values as the pair of them, so three
-    sumset counts decide, taken after every degree's budget check."""
+    exactly when each has as many values as the pair of them.  After
+    every degree's budget check, one sumset of the pair decides: packing
+    never carries, so dropping one field gives the other map's values."""
     if a.shape != b.shape:
         raise ShapeMismatchError(f"subsets on {a.shape} and {b.shape}")
     for d in range(max_degree + 1):
         _check_degree_budget(a.shape, d, budget)
-    one, other, both = (
-        _margin_value_counts(masks, max_degree) for masks in ((a,), (b,), (a, b))
-    )
-    return one == other == both
+    place = (max_degree + 1) ** (a.shape.m + a.shape.n)
+    top = place * (max_degree + 1)
+    for pair in _margin_values((a, b), max_degree):
+        only_a = {v % top for v in pair}
+        only_b = {v % place + v // top * top for v in pair}
+        if not len(pair) == len(only_a) == len(only_b):
+            return False
+    return True
 
 
 def initial_ideal_census(
@@ -491,7 +487,7 @@ def initial_ideal_census(
 
         fiber_count(d) = |{c_1 + ... + c_d : c_i cells}|,
 
-    with each cell packed as one integer (see _margin_value_counts).
+    the size of degree d's set of packed cell sums from _margin_values.
 
     Each leading term is read off its move unexpanded: the order reads
     the bottom row first and each row from the left, and in a move's
@@ -511,7 +507,7 @@ def initial_ideal_census(
         adjacent[a] |= 1 << b
         adjacent[b] |= 1 << a
     supports = _independent_set_counts(adjacent, max_degree)
-    fibers = _margin_value_counts((s,), max_degree)
+    fibers = [len(v) for v in _margin_values((s,), max_degree)]
     rows = [CensusRow(0, 1, fibers[0])]
     for d in range(1, max_degree + 1):
         standard = sum(

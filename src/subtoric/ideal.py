@@ -16,7 +16,9 @@ from typing import Iterable, Iterator
 
 from subtoric.binomials import Binomial, MonomialOrder, Pair, orient
 from subtoric.tables import (
+    MAX_QUADS,
     BlockWitness,
+    BudgetError,
     CellTable,
     Subset,
     TableShape,
@@ -74,6 +76,10 @@ def move_keys(moves: Iterable[QuadGen], order: MonomialOrder) -> list[Pair]:
 
 
 def all_quads(shape: TableShape) -> list[QuadGen]:
+    """Every row pair and column pair; past MAX_QUADS, none is built."""
+    count = shape.m * (shape.m - 1) * shape.n * (shape.n - 1) // 4
+    if count > MAX_QUADS:
+        raise BudgetError(f"{count} candidate moves on {shape} exceed budget {MAX_QUADS}")
     return [
         QuadGen(i, j, k, ell)
         for i in range(1, shape.m + 1)

@@ -29,6 +29,10 @@ class BudgetError(RuntimeError):
 
 # The most cells a JSON subset may name; its mask is allocated cell by cell.
 MAX_JSON_CELLS = 10_000
+# The most candidate moves, C(m, 2) * C(n, 2), a shape may build one by one.
+MAX_QUADS = 1_000_000
+# The largest table side classify_oracle takes; it is exponential in the sides.
+ORACLE_MAX_SIDE = 5
 
 
 @dataclass(frozen=True, order=True)
@@ -526,9 +530,8 @@ def is_block_diagonal_in_place(s: Subset) -> Optional[tuple[int, int]]:
     return _packed_blocks(s.shape.m, s.shape.n).get(bits)
 
 
-def _triangular_witness(s: Subset) -> Optional[PermPair]:
+def _triangular_witness(s: Subset, sups: list[frozenset[int]]) -> Optional[PermPair]:
     m, n = s.shape.m, s.shape.n
-    sups = [s.row_support(i) for i in range(1, m + 1)]
     row_order = sorted(range(1, m + 1), key=lambda i: (-len(sups[i - 1]), i))
     # Triangular up to permutation iff the row supports form a chain under
     # inclusion; with supports sorted by size it suffices to nest neighbors.
@@ -540,9 +543,8 @@ def _triangular_witness(s: Subset) -> Optional[PermPair]:
     return PermPair.from_orders(row_order, col_order)
 
 
-def _block_witness(s: Subset) -> Optional[BlockWitness]:
+def _block_witness(s: Subset, sups: list[frozenset[int]]) -> Optional[BlockWitness]:
     m, n = s.shape.m, s.shape.n
-    sups = [s.row_support(i) for i in range(1, m + 1)]
     distinct = set(sups)
     all_cols = frozenset(range(1, n + 1))
     if len(distinct) > 2:
@@ -571,9 +573,8 @@ def _block_witness(s: Subset) -> Optional[BlockWitness]:
 
 def classify(s: Subset) -> Classification:
     """Fast recognition of both pattern classes, with witnesses."""
-    return Classification(
-        triangular=_triangular_witness(s), block_diagonal=_block_witness(s)
-    )
+    sups = [s.row_support(i) for i in range(1, s.shape.m + 1)]
+    return Classification(_triangular_witness(s, sups), _block_witness(s, sups))
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +582,7 @@ def classify(s: Subset) -> Classification:
 # permutation axis at a time where the definition splits
 
 
-def classify_oracle(s: Subset, max_side: int = 5) -> Classification:
+def classify_oracle(s: Subset) -> Classification:
     """Definition-checking oracle over every row/column permutation pair,
     rows outer and columns inner, keeping the first witness of each class.
 
@@ -591,13 +592,13 @@ def classify_oracle(s: Subset, max_side: int = 5) -> Classification:
     such rp with the first such cp.  Sorted row and column sums survive
     every permutation, so the pair loop for the two-block class runs only
     when they equal those of some block pattern.  Exponential in the table
-    sides; refuses shapes beyond max_side.  Witnesses may differ from
+    sides; refuses shapes beyond ORACLE_MAX_SIDE.  Witnesses may differ from
     classify's, the flags never do.
     """
     m, n = s.shape.m, s.shape.n
-    if m > max_side or n > max_side:
+    if m > ORACLE_MAX_SIDE or n > ORACLE_MAX_SIDE:
         raise BudgetError(
-            f"oracle budget is {max_side}x{max_side}, got {s.shape}"
+            f"oracle budget is {ORACLE_MAX_SIDE}x{ORACLE_MAX_SIDE}, got {s.shape}"
         )
     hits = [[j for j, hit in enumerate(row) if hit] for row in s.mask]
     masks = [sum(1 << j for j in h) for h in hits]

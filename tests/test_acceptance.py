@@ -22,7 +22,6 @@ from subtoric.binomials import (
     s_polynomial,
 )
 from subtoric.fibers import (
-    MoveSet,
     fibers_of_degree,
     generation_check,
     initial_ideal_census,
@@ -304,7 +303,7 @@ def test_criterion_8_walk_uniformity_and_reproducibility():
     0.05 total variation of uniform, and the seed pins the trace."""
     s = Subset.full(2, 2)
     start = CellTable.from_rows([[1, 0], [0, 1]])
-    moves = MoveSet.from_generators(build_generators(s))
+    moves = build_generators(s)
 
     first = random_walk(s, start, moves, 10_000, 7)
     second = random_walk(s, start, moves, 10_000, 7)

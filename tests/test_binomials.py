@@ -309,6 +309,22 @@ def test_buchberger_passes_on_3x3_minors():
     assert report.skipped_coprime > 0
 
 
+def test_buchberger_keys_each_binomial_side_once(monkeypatch):
+    sh = TableShape(3, 3)
+    g = all_minors(sh)
+    order = MonomialOrder(sh)
+    calls = []
+    original = MonomialOrder.key
+
+    def counting(self, t):
+        calls.append(t)
+        return original(self, t)
+
+    monkeypatch.setattr(MonomialOrder, "key", counting)
+    assert buchberger_check(g, order).passed
+    assert len(calls) == 2 * len(g)
+
+
 def test_buchberger_single_generator_passes_trivially():
     report = buchberger_check([minor(SH22, 1, 2, 1, 2)], ORD22)
     assert report.passed

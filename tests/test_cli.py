@@ -496,6 +496,25 @@ def test_subset_json_naming_a_huge_shape_exits_2(tmp_path, capsys):
         assert [ln for ln in lines if ln.startswith("error: ")] == lines[:1]
 
 
+def test_subset_with_too_many_candidate_moves_exits_3(tmp_path, capsys):
+    # 100x100 passes the JSON cell cap, but its 24,502,500 candidate moves
+    # are refused before any is built, so this takes well under a second.
+    from subtoric import cli
+
+    path = write_subset(tmp_path, '{"m":100,"n":100,"cells":[]}', "s.json")
+    for command in ("gens", "verify", "check-gb", "census"):
+        assert cli.main([command, path]) == 3, command
+        out, err = capsys.readouterr()
+        assert out == ""
+        lines = err.splitlines()
+        assert lines[0] == (
+            "budget exceeded: 24502500 candidate moves on 100x100 exceed budget 1000000"
+        )
+        assert len(lines) == 2 and lines[1].startswith("elapsed: ")
+    assert cli.main(["classify", path]) == 0
+    assert capsys.readouterr().out.endswith("class: both\n")
+
+
 def test_subset_json_duplicate_cells_are_merged(tmp_path, capsys):
     # A subset is a set of cells: a cell listed twice counts once.
     from subtoric import cli

@@ -13,7 +13,6 @@ from subtoric.fibers import (
     Budget,
     DEFAULT_BUDGET,
     Fiber,
-    MoveSet,
     apply_move,
     enumerate_fiber,
     fiber_components,
@@ -490,7 +489,7 @@ def test_census_checks_every_degree_budget_before_counting(monkeypatch):
         raise AssertionError("counted before the budget check")
 
     monkeypatch.setattr(fibers_mod, "_independent_set_counts", no_counting)
-    monkeypatch.setattr(fibers_mod, "_margin_value_counts", no_counting)
+    monkeypatch.setattr(fibers_mod, "_margin_values", no_counting)
     s = Subset.full(1, 25)
     with pytest.raises(BudgetError) as err:
         initial_ideal_census(
@@ -575,11 +574,29 @@ def test_same_fibers_checks_every_degree_budget_before_counting(monkeypatch):
     def no_counting(*_args):
         raise AssertionError("counted before the budget check")
 
-    monkeypatch.setattr(fibers_mod, "_margin_value_counts", no_counting)
+    monkeypatch.setattr(fibers_mod, "_margin_values", no_counting)
     s = Subset.full(3, 3)
     with pytest.raises(BudgetError) as err:
         same_fibers(s, DIAG3, 4, Budget(max_tables_per_degree=50))
     assert str(err.value) == "165 degree-3 tables on 3x3 exceed budget 50"
+
+
+def test_same_fibers_builds_one_sumset_per_call(monkeypatch):
+    import subtoric.fibers as fibers_mod
+
+    calls = []
+    original = fibers_mod._margin_values
+
+    def counting(masks, size):
+        calls.append(masks)
+        return original(masks, size)
+
+    monkeypatch.setattr(fibers_mod, "_margin_values", counting)
+    blocks, reduced = block_pattern(TableShape(3, 3), 1, 2), S(3, 3, (1, 1), (1, 2))
+    for a, b, same in ((blocks, reduced, True), (Subset.full(3, 3), DIAG3, False)):
+        calls.clear()
+        assert same_fibers(a, b, 4) is same
+        assert calls == [(a, b)]
 
 
 def test_same_fibers_needs_one_shape():
@@ -635,8 +652,7 @@ def test_walk_stays_in_fiber():
 def test_move_set_name_is_a_tuple_of_moves():
     s = S(3, 3, (1, 1), (1, 2), (2, 1))
     gset = build_generators(s)
-    moves = MoveSet.from_generators(gset)
-    assert isinstance(moves, tuple) and moves == tuple(gset)
+    moves = tuple(gset)
     start = CellTable.from_rows([[2, 0, 1], [0, 1, 0], [1, 0, 0]])
     assert random_walk(s, start, moves, 300, 9) == random_walk(s, start, gset, 300, 9)
 

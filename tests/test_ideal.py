@@ -18,7 +18,9 @@ from subtoric.ideal import (
     quad_membership,
 )
 from subtoric.tables import (
+    MAX_QUADS,
     BlockWitness,
+    BudgetError,
     PermPair,
     Subset,
     TableShape,
@@ -117,6 +119,29 @@ def test_all_quads_count_and_order():
     assert keys == sorted(keys)
     assert len(all_quads(TableShape(4, 4))) == 36
     assert all_quads(TableShape(1, 5)) == []
+
+
+def test_all_quads_refuses_too_many_moves_before_building_any(monkeypatch):
+    import subtoric.ideal as ideal_mod
+
+    def no_building(*_args):
+        raise AssertionError("built a move before the budget check")
+
+    message = "24502500 candidate moves on 100x100 exceed budget 1000000"
+    assert MAX_QUADS == 1_000_000
+    with monkeypatch.context() as patched:
+        patched.setattr(ideal_mod, "QuadGen", no_building)
+        with pytest.raises(BudgetError) as err:
+            all_quads(TableShape(100, 100))
+        assert str(err.value) == message
+        with pytest.raises(BudgetError) as err:
+            build_generators(Subset.empty(100, 100))
+        assert str(err.value) == message
+    # The bound is inclusive: a shape with exactly MAX_QUADS moves is built.
+    monkeypatch.setattr(ideal_mod, "MAX_QUADS", 36)
+    assert len(all_quads(TableShape(4, 4))) == 36
+    with pytest.raises(BudgetError, match="^60 candidate moves on 4x5 exceed budget 36$"):
+        all_quads(TableShape(4, 5))
 
 
 # ---------------------------------------------------------- build_generators

@@ -535,5 +535,5 @@ def test_oracle_finds_every_permuted_block_pattern():
 def test_oracle_refuses_oversized_tables():
     with pytest.raises(BudgetError):
         classify_oracle(Subset.empty(6, 3))
-    with pytest.raises(BudgetError, match="oracle budget is 3x3, got 2x4"):
-        classify_oracle(Subset.empty(2, 4), max_side=3)
+    with pytest.raises(BudgetError, match="oracle budget is 5x5, got 2x6"):
+        classify_oracle(Subset.empty(2, 6))

@@ -138,12 +138,31 @@ def test_block_reduction_checks_the_table_budget_before_counting(monkeypatch):
     def no_counting(*_args):
         raise AssertionError("counted before the budget check")
 
-    monkeypatch.setattr(fibers_mod, "_margin_value_counts", no_counting)
+    monkeypatch.setattr(fibers_mod, "_margin_values", no_counting)
     # Not a staircase, so the block branch is the first to meet the budget.
     s = block_pattern(TableShape(4, 4), 2, 2)
     with pytest.raises(BudgetError) as err:
         verify_subset(s, 4, budget=Budget(max_tables_per_degree=50))
     assert str(err.value) == "136 degree-2 tables on 4x4 exceed budget 50"
+
+
+def test_block_branch_counts_the_pair_then_the_census(monkeypatch):
+    import subtoric.fibers as fibers_mod
+
+    calls = []
+    original = fibers_mod._margin_values
+
+    def counting(masks, size):
+        calls.append(masks)
+        return original(masks, size)
+
+    monkeypatch.setattr(fibers_mod, "_margin_values", counting)
+    s = block_pattern(TableShape(4, 4), 2, 2)
+    rep = verify_subset(s, 4)
+    assert rep.classification.triangular is None
+    moved = s.permuted(rep.classification.block_diagonal.perms)
+    reduced = rep.block_reduction.reduced
+    assert calls == [(moved, reduced), (reduced,)]
 
 
 def test_negative_degree_bound_is_rejected():

@@ -36,6 +36,7 @@ from subtoric.fibers import (
 )
 from subtoric.ideal import GeneratorSet, QuadGen
 from subtoric.tables import (
+    ORACLE_MAX_SIDE,
     BlockWitness,
     BudgetError,
     CellTable,
@@ -307,12 +308,14 @@ def _packed_tri_masks(m: int, n: int) -> tuple[int, int]:
     return rows2, cols2
 
 
-def classify_oracle_by_cells(s: Subset, max_side: int = 5) -> Classification:
+def classify_oracle_by_cells(s: Subset) -> Classification:
     """The permutation oracle packing each pair's mask one cell bit at a
     time: rows outer, columns inner, first witness kept for each class."""
     m, n = s.shape.m, s.shape.n
-    if m > max_side or n > max_side:
-        raise BudgetError(f"oracle budget is {max_side}x{max_side}, got {s.shape}")
+    if m > ORACLE_MAX_SIDE or n > ORACLE_MAX_SIDE:
+        raise BudgetError(
+            f"oracle budget is {ORACLE_MAX_SIDE}x{ORACLE_MAX_SIDE}, got {s.shape}"
+        )
     cells0 = [(i - 1, j - 1) for i, j in s.cells]
     rows2, cols2 = _packed_tri_masks(m, n)
     blocks = _packed_blocks(m, n)
