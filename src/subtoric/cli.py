@@ -107,8 +107,11 @@ def _cmd_gens(args) -> int:
     gset = build_generators(s)
     lines = [f"generators: {len(gset)}"]
     if not args.json:
-        binomials = gset.binomials(MonomialOrder(s.shape))
-        lines += [f"  {q.as_tuple}  {g}" for q, g in zip(gset, binomials)]
+        # Under the bottom-row lex order the antidiagonal always leads.
+        lines += [
+            f"  {q.as_tuple}  x{q.i}{q.ell}*x{q.j}{q.k}-x{q.i}{q.k}*x{q.j}{q.ell}"
+            for q in gset
+        ]
     payload = {
         "count": len(gset),
         "generators": [list(q.as_tuple) for q in gset],

@@ -415,22 +415,18 @@ def _independent_set_counts(adjacent: Sequence[int], size: int) -> list[int]:
     return counts
 
 
-def _margin_values(masks: Sequence[Subset], size: int) -> Iterator[set[int]]:
+def _margin_values(s: Subset, size: int) -> Iterator[set[int]]:
     """The distinct values of degree d, for d = 0..size, of the map
-    sending a table to its row sums, column sums and its sum over each of
-    the masks (all on one shape).
+    sending a table to its row sums, column sums and its sum over s.
 
-    Each cell becomes one integer packing its row, column and one
-    indicator per mask in base size + 1, so no field carries and a sum of
-    d cells packs exactly the value of the degree-d table they form.
-    Mask k's field has place value (size + 1) ** (m + n + k).
+    Each cell becomes one integer packing its row, column and indicator
+    in base size + 1, so no field carries and a sum of d cells packs
+    exactly the value of the degree-d table they form.
     """
-    m, n = masks[0].shape.m, masks[0].shape.n
+    m, n = s.shape.m, s.shape.n
     base = size + 1
     cells = [
-        base**i
-        + base ** (m + j)
-        + sum(base ** (m + n + k) for k, s in enumerate(masks) if s.mask[i][j])
+        base**i + base ** (m + j) + s.mask[i][j] * base ** (m + n)
         for i in range(m)
         for j in range(n)
     ]
@@ -439,28 +435,6 @@ def _margin_values(masks: Sequence[Subset], size: int) -> Iterator[set[int]]:
     for _ in range(size):
         reach = {p + c for p in reach for c in cells}
         yield reach
-
-
-def same_fibers(
-    a: Subset, b: Subset, max_degree: int, budget: Budget = DEFAULT_BUDGET
-) -> bool:
-    """Do the sums over a and over b split the tables of every degree up
-    to max_degree into the same fibers?  Two maps give one partition
-    exactly when each has as many values as the pair of them.  After
-    every degree's budget check, one sumset of the pair decides: packing
-    never carries, so dropping one field gives the other map's values."""
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"subsets on {a.shape} and {b.shape}")
-    for d in range(max_degree + 1):
-        _check_degree_budget(a.shape, d, budget)
-    place = (max_degree + 1) ** (a.shape.m + a.shape.n)
-    top = place * (max_degree + 1)
-    for pair in _margin_values((a, b), max_degree):
-        only_a = {v % top for v in pair}
-        only_b = {v % place + v // top * top for v in pair}
-        if not len(pair) == len(only_a) == len(only_b):
-            return False
-    return True
 
 
 def initial_ideal_census(
@@ -507,7 +481,7 @@ def initial_ideal_census(
         adjacent[a] |= 1 << b
         adjacent[b] |= 1 << a
     supports = _independent_set_counts(adjacent, max_degree)
-    fibers = [len(v) for v in _margin_values((s,), max_degree)]
+    fibers = [len(v) for v in _margin_values(s, max_degree)]
     rows = [CensusRow(0, 1, fibers[0])]
     for d in range(1, max_degree + 1):
         standard = sum(

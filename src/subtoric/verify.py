@@ -22,7 +22,6 @@ from subtoric.fibers import (
     Fiber,
     generation_check,
     initial_ideal_census,
-    same_fibers,
 )
 from subtoric.ideal import GeneratorSet, block_reduce, build_generators, move_keys
 from subtoric.tables import (
@@ -40,8 +39,9 @@ class VerificationError(RuntimeError):
 
 @dataclass(frozen=True)
 class BlockReduction:
-    """Outcome of dropping the second block: the reduced pattern and the
-    two bounded equivalence checks against the original."""
+    """Outcome of dropping the second block: the reduced pattern, whether
+    it keeps the original's moves, and whether it splits the tables of
+    every degree into the original's fibers."""
 
     reduced: Subset
     generators_match: bool
@@ -81,15 +81,39 @@ class VerificationReport:
         }
 
 
+def _same_fibers(a: Subset, b: Subset) -> bool:
+    """Do the sums over a and over b split the tables of every degree
+    into the same fibers?  The adjacent 2x2 moves span the tables with
+    zero row and column sums (Diaconis-Sturmfels), and a subset's sum
+    over such a move is its contrast S(i,k) - S(i,k+1) - S(i+1,k) +
+    S(i+1,k+1).  So the answer is yes exactly when the two contrast
+    vectors are both zero, or both nonzero and proportional: every
+    cross product with a's first nonzero contrast matches."""
+    pairs = [
+        (ta[k] - ta[k + 1] - la[k] + la[k + 1], tb[k] - tb[k + 1] - lb[k] + lb[k + 1])
+        for ta, la, tb, lb in zip(a.mask, a.mask[1:], b.mask, b.mask[1:])
+        for k in range(a.shape.n - 1)
+    ]
+    px, py = next(((x, y) for x, y in pairs if x), (0, 0))
+    b_nonzero = any(y for _, y in pairs)
+    return b_nonzero == bool(px) and all(px * y == py * x for x, y in pairs)
+
+
 def _certify_staircase(
     s: Subset, gset: GeneratorSet, max_degree: int, budget: Budget
 ) -> tuple[BuchbergerReport, list[CensusRow]]:
-    """GB pass, squarefree antidiagonal leading terms, balanced census.
+    """Balanced census, squarefree antidiagonal leading terms, GB pass.
     The pattern must already sit in its staircase corner, and gset must
     be its generator set."""
     if not is_triangular_in_place(s):
         raise VerificationError("certification target is not a staircase in place")
     order = MonomialOrder(s.shape)
+    # The census checks every degree's table budget first, so a refusal
+    # comes before any move is keyed or any S-pair reduced.
+    census = initial_ideal_census(s, gset, order, max_degree, budget)
+    bad = [r for r in census if not r.balanced]
+    if bad:
+        raise VerificationError(f"census unbalanced on staircase: {bad[0]}")
     gens = move_keys(gset, order)
     for q, (anti, diag) in zip(gset, gens):
         if not anti > diag:
@@ -99,10 +123,6 @@ def _certify_staircase(
     gb = buchberger_check_keys(gens, order)
     if not gb.passed:
         raise VerificationError(f"Buchberger failed on staircase: {gb.failure}")
-    census = initial_ideal_census(s, gset, order, max_degree, budget)
-    bad = [r for r in census if not r.balanced]
-    if bad:
-        raise VerificationError(f"census unbalanced on staircase: {bad[0]}")
     return gb, census
 
 
@@ -111,9 +131,9 @@ def verify_subset(
 ) -> VerificationReport:
     """Classify, then certify the one staircase the classification names:
     the canonical form if triangular, else the block reduction, once it
-    is shown to keep the generators and, by counting margin values (see
-    same_fibers), the fibers up to the bound.  In both classes the subset
-    is a full rectangle, its own reduction, so nothing is counted.
+    is shown to keep the generators and, by its 2x2 contrasts (see
+    _same_fibers), the fibers of every degree.  In both classes the
+    subset is a full rectangle, its own reduction, so nothing is compared.
     Neither: hunt for a disconnected fiber; finding none up to the bound
     is reported as witness None, not as success of any generation claim.
     """
@@ -136,7 +156,7 @@ def verify_subset(
         if target is None:
             gset = build_generators(reduced)
             generators_match = build_generators(moved).index_set == gset.index_set
-            fibers_match = same_fibers(moved, reduced, max_degree, budget)
+            fibers_match = _same_fibers(moved, reduced)
             if not (generators_match and fibers_match):
                 raise VerificationError(
                     f"block reduction mismatch: generators_match={generators_match}, "

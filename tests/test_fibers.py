@@ -20,14 +20,13 @@ from subtoric.fibers import (
     generation_check,
     initial_ideal_census,
     random_walk,
-    same_fibers,
     table_from_csv,
     table_to_csv,
     walk_tv,
     walk_vs_exact,
     _tables_of_degree,
 )
-from subtoric.ideal import GeneratorSet, QuadGen, all_quads, build_generators
+from subtoric.ideal import GeneratorSet, QuadGen, all_quads, block_reduce, build_generators
 from subtoric.tables import (
     BudgetError,
     CellTable,
@@ -36,8 +35,10 @@ from subtoric.tables import (
     Subset,
     TableShape,
     block_pattern,
+    classify,
     margins,
 )
+from subtoric.verify import _same_fibers
 from util import (
     census_by_scan,
     fiber_components_by_apply,
@@ -531,7 +532,7 @@ def _all_subsets(m, n):
 
 
 def test_same_fibers_matches_listing_on_every_small_pair():
-    for m, n in ((2, 2), (2, 3)):
+    for m, n in ((2, 2), (2, 3), (3, 2)):
         subsets = _all_subsets(m, n)
         listed = {
             s: [partition_of_degree(s, d) for d in range(5)] for s in subsets
@@ -539,7 +540,7 @@ def test_same_fibers_matches_listing_on_every_small_pair():
         verdicts = []
         for x, a in enumerate(subsets):
             for b in subsets[x + 1 :]:
-                verdicts.append(same_fibers(a, b, 4))
+                verdicts.append(_same_fibers(a, b))
                 assert verdicts[-1] == (listed[a] == listed[b]), (a.cells, b.cells)
         assert verdicts.count(True) >= 2 and verdicts.count(False) >= 2
 
@@ -563,45 +564,36 @@ def test_same_fibers_matches_listing_on_sampled_pairs():
             a = block_pattern(a.shape, r, c).permuted(random_perm_pair(rng, m, n))
             b = block_pattern(a.shape, r, c)
         pairs.append((a, b))
-    verdicts = [same_fibers(a, b, 4) for a, b in pairs]
+    verdicts = [_same_fibers(a, b) for a, b in pairs]
     assert verdicts == [_listing_says_same(a, b, 4) for a, b in pairs]
     assert verdicts.count(True) >= 2 and verdicts.count(False) >= 2
 
 
-def test_same_fibers_checks_every_degree_budget_before_counting(monkeypatch):
-    import subtoric.fibers as fibers_mod
-
-    def no_counting(*_args):
-        raise AssertionError("counted before the budget check")
-
-    monkeypatch.setattr(fibers_mod, "_margin_values", no_counting)
-    s = Subset.full(3, 3)
-    with pytest.raises(BudgetError) as err:
-        same_fibers(s, DIAG3, 4, Budget(max_tables_per_degree=50))
-    assert str(err.value) == "165 degree-3 tables on 3x3 exceed budget 50"
+def _contrasts(s):
+    rows = s.mask
+    return [
+        top[k] - top[k + 1] - low[k] + low[k + 1]
+        for top, low in zip(rows, rows[1:])
+        for k in range(s.shape.n - 1)
+    ]
 
 
-def test_same_fibers_builds_one_sumset_per_call(monkeypatch):
-    import subtoric.fibers as fibers_mod
-
-    calls = []
-    original = fibers_mod._margin_values
-
-    def counting(masks, size):
-        calls.append(masks)
-        return original(masks, size)
-
-    monkeypatch.setattr(fibers_mod, "_margin_values", counting)
-    blocks, reduced = block_pattern(TableShape(3, 3), 1, 2), S(3, 3, (1, 1), (1, 2))
-    for a, b, same in ((blocks, reduced, True), (Subset.full(3, 3), DIAG3, False)):
-        calls.clear()
-        assert same_fibers(a, b, 4) is same
-        assert calls == [(a, b)]
-
-
-def test_same_fibers_needs_one_shape():
-    with pytest.raises(ShapeMismatchError):
-        same_fibers(Subset.full(2, 2), Subset.full(2, 3), 2)
+def test_block_pattern_contrasts_are_twice_its_reductions():
+    rng = random.Random(1998)
+    seen = 0
+    for m in range(4, 8):
+        for n in range(4, 8):
+            shape = TableShape(m, n)
+            for r in range(m + 1):
+                for c in range(n + 1):
+                    s = block_pattern(shape, r, c).permuted(random_perm_pair(rng, m, n))
+                    w = classify(s).block_diagonal
+                    moved = s.permuted(w.perms)
+                    reduced = block_reduce(s, w)
+                    assert _contrasts(moved) == [2 * v for v in _contrasts(reduced)]
+                    assert _same_fibers(moved, reduced)
+                    seen += any(_contrasts(reduced))
+    assert seen > 0
 
 
 # ------------------------------------------------------------------ walks

@@ -26,6 +26,7 @@ from subtoric.tables import (
 from util import (
     classify_oracle_by_cells,
     is_block_diagonal_in_place_by_cells,
+    neither_by_local_scan,
     random_block,
     random_perm_pair,
     random_staircase,
@@ -432,6 +433,45 @@ def test_classify_agrees_with_oracle_random_up_to_5x5():
                         random_perm_pair(rng, m, n)
                     )
                 agreement(s)
+
+
+def _scan_agrees(s):
+    w = neither_by_local_scan(s)
+    assert (w is not None) == classify(s).is_neither, s.to_text()
+    return w
+
+
+def test_local_scan_agrees_with_classify_on_every_3x3_and_3x4_subset():
+    from util import _neither_patterns
+
+    shapes = sorted((len(p), len(p[0])) for p in _neither_patterns())
+    assert shapes == [(2, 3)] * 12 + [(3, 2)] * 12
+    for m, n in [(3, 3), (3, 4)]:
+        for bits in range(1 << (m * n)):
+            cells = [(k // n + 1, k % n + 1) for k in range(m * n) if bits >> k & 1]
+            _scan_agrees(Subset.from_cells(m, n, cells))
+
+
+def test_local_scan_agrees_with_classify_on_seeded_4x4_to_10x10():
+    from subtoric.fibers import enumerate_fiber, fiber_components
+    from subtoric.ideal import build_generators
+
+    rng = random.Random(2007)
+    witnesses = 0
+    for m, n in [(4, 4)] * 100 + [(k, k) for k in range(6, 11)] * 8:
+        perms = random_perm_pair(rng, m, n)
+        assert _scan_agrees(random_staircase(rng, m, n).permuted(perms)) is None
+        assert _scan_agrees(random_block(rng, m, n).permuted(perms)) is None
+        s = random_subset(rng, m, n, p=rng.choice([0.2, 0.5, 0.8]))
+        w = _scan_agrees(s)
+        if w is not None:
+            # The lifted witness is the whole fiber of its key in s, and
+            # the kept moves of s leave it disconnected.
+            assert w.key.degree == 4 and w.size == 2
+            assert enumerate_fiber(s, w.key) == w
+            assert len(fiber_components(w, build_generators(s))) == 2
+            witnesses += 1
+    assert witnesses > 100
 
 
 def test_oracle_witnesses_validate_too():

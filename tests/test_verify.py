@@ -152,17 +152,32 @@ def test_block_branch_counts_the_pair_then_the_census(monkeypatch):
     calls = []
     original = fibers_mod._margin_values
 
-    def counting(masks, size):
-        calls.append(masks)
-        return original(masks, size)
+    def counting(s, size):
+        calls.append(s)
+        return original(s, size)
 
     monkeypatch.setattr(fibers_mod, "_margin_values", counting)
     s = block_pattern(TableShape(4, 4), 2, 2)
     rep = verify_subset(s, 4)
     assert rep.classification.triangular is None
-    moved = s.permuted(rep.classification.block_diagonal.perms)
+    # The pair is compared by its 2x2 contrasts; only the census counts.
     reduced = rep.block_reduction.reduced
-    assert calls == [(moved, reduced), (reduced,)]
+    assert calls == [reduced]
+
+
+def test_large_patterns_refuse_on_budget_before_the_s_pair_loop(monkeypatch):
+    import subtoric.verify as verify_mod
+
+    def too_early(*_args):
+        raise AssertionError("moves keyed or S-pairs reduced before the budget check")
+
+    monkeypatch.setattr(verify_mod, "move_keys", too_early)
+    monkeypatch.setattr(verify_mod, "buchberger_check_keys", too_early)
+    stair = S(12, 12, *[(i, j) for i in range(1, 13) for j in range(1, 14 - i)])
+    for s in (stair, block_pattern(TableShape(12, 12), 5, 7)):
+        with pytest.raises(BudgetError) as err:
+            verify_subset(s, 4)
+        assert str(err.value) == "508080 degree-3 tables on 12x12 exceed budget 200000"
 
 
 def test_negative_degree_bound_is_rejected():
@@ -284,9 +299,9 @@ def test_both_classes_count_no_fibers(monkeypatch):
     import subtoric.verify as verify_mod
 
     def no_counting(*_args):
-        raise AssertionError("same_fibers on a pattern equal to its reduction")
+        raise AssertionError("_same_fibers on a pattern equal to its reduction")
 
-    monkeypatch.setattr(verify_mod, "same_fibers", no_counting)
+    monkeypatch.setattr(verify_mod, "_same_fibers", no_counting)
     for s in (
         Subset.full(5, 5),
         S(5, 5, *[(i, j) for i in (1, 2) for j in range(1, 6)]),

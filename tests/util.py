@@ -3,13 +3,15 @@ a table-scanning census oracle, a fiber-listing partition oracle, a move
 expansion by products of cell variables, a division and Buchberger
 oracle that works on CellTables with a linear divisor scan, walk and
 component oracles that move CellTables one ``apply_move`` at a time, a
-two-block test and a permutation oracle that check cell by cell, and a
-fiber hunt over ``fibers_of_degree``."""
+two-block test and a permutation oracle that check cell by cell, a
+fiber hunt over ``fibers_of_degree``, and a neither-class test by 2x3
+and 3x2 sub-patterns that works at any shape."""
 
 from __future__ import annotations
 
 import random
-from itertools import permutations
+from functools import lru_cache
+from itertools import chain, combinations, permutations, product
 from typing import Collection, Iterable, Optional, Sequence
 
 from subtoric.binomials import (
@@ -33,8 +35,9 @@ from subtoric.fibers import (
     apply_move,
     fiber_components,
     fibers_of_degree,
+    generation_check,
 )
-from subtoric.ideal import GeneratorSet, QuadGen
+from subtoric.ideal import GeneratorSet, QuadGen, build_generators
 from subtoric.tables import (
     ORACLE_MAX_SIDE,
     BlockWitness,
@@ -45,6 +48,7 @@ from subtoric.tables import (
     Subset,
     TableShape,
     _packed_blocks,
+    classify,
     margins,
 )
 
@@ -362,3 +366,45 @@ def generation_check_by_listing(
             if fiber.size > 1 and len(fiber_components(fiber, gens)) > 1:
                 return GenerationCheck(False, max_degree, fiber)
     return GenerationCheck(True, max_degree, None)
+
+
+@lru_cache(maxsize=None)
+def _neither_patterns() -> dict[tuple, Fiber]:
+    """Every 2x3 and 3x2 pattern in neither class, by mask, with its
+    first disconnected fiber up to degree 4."""
+    out = {}
+    for m, n in ((2, 3), (3, 2)):
+        for bits in range(1 << (m * n)):
+            p = Subset.from_cells(
+                m, n, [(k // n + 1, k % n + 1) for k in range(m * n) if bits >> k & 1]
+            )
+            if classify(p).is_neither:
+                out[p.mask] = generation_check(p, build_generators(p), 4).witness
+    return out
+
+
+def neither_by_local_scan(s: Subset) -> Optional[Fiber]:
+    """A disconnected fiber of s lifted from the first 2x3 or 3x2
+    sub-pattern (chosen rows x chosen columns) in neither class, or None
+    when no sub-pattern is.  Margins that vanish outside the chosen rows
+    and columns keep every table of the fiber inside them, and a move is
+    kept by its own 2x2 minor alone, so the small witness stays one."""
+    m, n = s.shape.m, s.shape.n
+    patterns = _neither_patterns()
+    for rows, cols in chain(
+        product(combinations(range(m), 2), combinations(range(n), 3)),
+        product(combinations(range(m), 3), combinations(range(n), 2)),
+    ):
+        w = patterns.get(tuple(tuple(s.mask[i][j] for j in cols) for i in rows))
+        if w is None:
+            continue
+        tables = []
+        for t in w.tables:
+            entries = [[0] * n for _ in range(m)]
+            for i, row in zip(rows, t.entries):
+                for j, e in zip(cols, row):
+                    entries[i][j] = e
+            tables.append(CellTable.from_rows(entries))
+        tables.sort(key=lambda t: t.flat)
+        return Fiber(margins(s, tables[0]), tuple(tables))
+    return None
