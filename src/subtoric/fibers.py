@@ -14,12 +14,13 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import combinations
 from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 from subtoric.binomials import MonomialOrder
 from subtoric.ideal import GeneratorSet, QuadGen
 from subtoric.tables import (
+    MAX_WALK_STEPS,
     BudgetError,
     CellTable,
     Margins,
@@ -258,11 +259,12 @@ def fiber_components(
     fiber: Fiber, moves: Iterable[QuadGen]
 ) -> list[tuple[CellTable, ...]]:
     """Connected components of the fiber under the moves, largest first;
-    ties broken by the smallest flat entry sequence."""
+    ties broken by the smallest flat entry sequence.  The tables are
+    hunted as sparse cell tuples, like generation_check's."""
     shape = TableShape(len(fiber.key.row_sums), len(fiber.key.col_sums))
-    steps = list(chain.from_iterable(_signed_steps(shape, moves)))
+    sparse = [_sparse(t.flat) for t in fiber.tables]
+    roots = _component_roots(sparse, _steps_by_down(shape, moves))
     buckets: dict[int, list[CellTable]] = {}
-    roots = _component_roots([t.flat for t in fiber.tables], steps)
     for root, t in zip(roots, fiber.tables):
         buckets.setdefault(root, []).append(t)
     comps = [tuple(ts) for ts in buckets.values()]
@@ -270,11 +272,40 @@ def fiber_components(
     return comps
 
 
-def _component_roots(flats: Sequence[tuple[int, ...]], steps: list[_Step]) -> list[int]:
-    """Union-find over flat tables of one fiber: for each table, the
-    position of the first table in its component under the steps."""
-    index = {f: pos for pos, f in enumerate(flats)}
-    parent = list(range(len(flats)))
+def _sparse(flat: Sequence[int]) -> tuple[int, ...]:
+    """A table as its sparse cell tuple: the ascending flat indices of
+    its cells, each repeated as often as its entry."""
+    return tuple(c for c, e in enumerate(flat) for _ in range(e))
+
+
+def _from_sparse(shape: TableShape, cells: Iterable[int]) -> CellTable:
+    flat = [0] * (shape.m * shape.n)
+    for c in cells:
+        flat[c] += 1
+    return _from_flat(shape, flat)
+
+
+def _steps_by_down(shape: TableShape, moves: Iterable[QuadGen]) -> dict[tuple[int, int], tuple[int, int]]:
+    """Each signed step's up cells, keyed by its two down cells.  A down
+    pair fixes the 2x2 minor and the sign, so it names at most one step;
+    both pairs of a move are ascending flat indices, as row i < row j."""
+    return {
+        down: up
+        for signed in _signed_steps(shape, moves)
+        for up, down in signed
+    }
+
+
+def _component_roots(
+    tables: Sequence[tuple[int, ...]], steps: dict[tuple[int, int], tuple[int, int]]
+) -> list[int]:
+    """Union-find over the sparse cell tuples of one fiber: for each
+    table, the position of the first table in its component under the
+    steps.  A step applies only when both its down cells are in the
+    table's support, so only the pairs of distinct support cells are
+    looked up."""
+    index = {t: pos for pos, t in enumerate(tables)}
+    parent = list(range(len(tables)))
 
     def find(a: int) -> int:
         while parent[a] != a:
@@ -282,20 +313,22 @@ def _component_roots(flats: Sequence[tuple[int, ...]], steps: list[_Step]) -> li
             a = parent[a]
         return a
 
-    for pos, f in enumerate(flats):
-        for (u1, u2), (d1, d2) in steps:
-            if f[d1] and f[d2]:
-                moved = list(f)
-                moved[u1] += 1
-                moved[u2] += 1
-                moved[d1] -= 1
-                moved[d2] -= 1
-                other = index.get(tuple(moved))
-                if other is not None:
-                    ra, rb = find(pos), find(other)
-                    if ra != rb:
-                        parent[max(ra, rb)] = min(ra, rb)
-    return [find(pos) for pos in range(len(flats))]
+    for pos, t in enumerate(tables):
+        for a, b in combinations(dict.fromkeys(t), 2):
+            up = steps.get((a, b))
+            if up is None:
+                continue
+            moved = list(t)
+            moved.remove(a)
+            moved.remove(b)
+            moved += up
+            moved.sort()
+            other = index.get(tuple(moved))
+            if other is not None:
+                ra, rb = find(pos), find(other)
+                if ra != rb:
+                    parent[max(ra, rb)] = min(ra, rb)
+    return [find(pos) for pos in range(len(tables))]
 
 
 @dataclass(frozen=True)
@@ -321,44 +354,47 @@ def generation_check(
     """Are all fibers of degree <= max_degree connected under the moves?
 
     Fails with the first disconnected fiber, scanning degrees upward and
-    fibers in margin-key order; the moves are laid out at the first
-    fiber of more than one table.  Fibers stay flat tuples, split out of
-    the shared (row sums, column sums) classes by their subset sum, and
-    only the witness is built as CellTables.
+    fibers in margin-key order.  Each table is a sparse cell tuple, and
+    its subset sum is the subset indicator summed over its cells; the
+    fibers are split out of the shared (row sums, column sums) classes
+    by that sum.  The moves are keyed by their down cells at the first
+    fiber of more than one table, and each table looks up only the
+    pairs of distinct cells in its support.  Only the witness is built
+    as CellTables.
     """
-    m, n = s.shape.m, s.shape.n
-    s_idx = [i * n + j for i in range(m) for j in range(n) if s.mask[i][j]]
+    inside = [int(hit) for row in s.mask for hit in row]
     steps = None
     for d in range(max_degree + 1):
         _check_degree_budget(s.shape, d, budget)
-        for rows, cols, flats in _margin_classes(m, n, d):
+        for rows, cols, tables in _margin_classes(s.shape.m, s.shape.n, d):
             fibers: dict[int, list[tuple[int, ...]]] = {}
-            for f in flats:
-                fibers.setdefault(sum(map(f.__getitem__, s_idx)), []).append(f)
+            for t in tables:
+                fibers.setdefault(sum(map(inside.__getitem__, t)), []).append(t)
             for in_sum in sorted(fibers):
                 fiber = fibers[in_sum]
                 if len(fiber) == 1:
                     continue
                 if steps is None:
-                    steps = list(chain.from_iterable(_signed_steps(s.shape, gens)))
+                    steps = _steps_by_down(s.shape, gens)
                 if any(_component_roots(fiber, steps)):
                     key = Margins(rows, cols, in_sum)
-                    tables = tuple(_from_flat(s.shape, f) for f in fiber)
-                    return GenerationCheck(False, max_degree, Fiber(key, tables))
+                    witness = tuple(_from_sparse(s.shape, t) for t in fiber)
+                    return GenerationCheck(False, max_degree, Fiber(key, witness))
     return GenerationCheck(True, max_degree, None)
 
 
 @lru_cache(maxsize=None)
 def _margin_classes(m: int, n: int, d: int) -> tuple[tuple[tuple, tuple, tuple], ...]:
-    """(row_sums, col_sums, flats) for every pair of row and column sums
-    that at least two degree-d tables share, in key order, each class's
-    flat tables ascending.  Every fiber of degree d is one class split
-    by its subset sum.  Cached; callers must budget-check first."""
+    """(row_sums, col_sums, tables) for every pair of row and column sums
+    that at least two degree-d tables share, in key order, each table a
+    sparse cell tuple (see _sparse), in ascending flat order within its
+    class.  Every fiber of degree d is one class split by its subset
+    sum.  Cached; callers must budget-check first."""
     classes: dict[tuple, list[tuple[int, ...]]] = {}
     for flat, rows, cols in _margin_parts(m, n, d):
         classes.setdefault((rows, cols), []).append(flat)
     return tuple(
-        (rows, cols, tuple(flats))
+        (rows, cols, tuple(map(_sparse, flats)))
         for (rows, cols), flats in sorted(classes.items())
         if len(flats) > 1
     )
@@ -525,10 +561,13 @@ def random_walk(
     consumed as one randrange plus one choice per step.  Every move is
     checked once, before the first step: it must fit the shape and meet
     the subset as often on its diagonal as on its antidiagonal, or the
-    walk raises ValueError.
+    walk raises ValueError.  More than MAX_WALK_STEPS steps raise
+    BudgetError before the first.
     """
     if steps < 0:
         raise ValueError(f"walk length must be nonnegative, got {steps}")
+    if steps > MAX_WALK_STEPS:
+        raise BudgetError(f"walk of {steps} steps exceeds budget {MAX_WALK_STEPS}")
     if start.shape != s.shape:
         raise ShapeMismatchError(f"shape mismatch: {s.shape} vs {start.shape}")
     inside = [hit for row in s.mask for hit in row]

@@ -75,11 +75,16 @@ def move_keys(moves: Iterable[QuadGen], order: MonomialOrder) -> list[Pair]:
     return [(key(q.antidiagonal_cells), key(q.diagonal_cells)) for q in moves]
 
 
-def all_quads(shape: TableShape) -> list[QuadGen]:
-    """Every row pair and column pair; past MAX_QUADS, none is built."""
+def _check_quad_budget(shape: TableShape) -> None:
+    """Refuse a shape with more than MAX_QUADS candidate moves."""
     count = shape.m * (shape.m - 1) * shape.n * (shape.n - 1) // 4
     if count > MAX_QUADS:
         raise BudgetError(f"{count} candidate moves on {shape} exceed budget {MAX_QUADS}")
+
+
+def all_quads(shape: TableShape) -> list[QuadGen]:
+    """Every row pair and column pair; past MAX_QUADS, none is built."""
+    _check_quad_budget(shape)
     return [
         QuadGen(i, j, k, ell)
         for i in range(1, shape.m + 1)
@@ -112,17 +117,27 @@ class GeneratorSet:
 
 
 def build_generators(s: Subset) -> GeneratorSet:
-    """Every quadruple whose two cell pairs meet the subset equally often.
+    """Every quadruple whose two cell pairs meet the subset equally often,
+    in all_quads order; past MAX_QUADS, none is built.
 
     Row and column margins of the two products always agree; only the
-    subset-sum coordinate can tell them apart, so the count decides.
+    subset-sum coordinate can tell them apart.  The antidiagonal (i,l),
+    (j,k) and the diagonal (i,k), (j,l) meet S equally often exactly
+    when the row pair's indicator differences S(i,c) - S(j,c) are equal
+    at columns k and l, so only those moves are built.
     """
+    _check_quad_budget(s.shape)
+    mask, n = s.mask, s.shape.n
     kept = []
-    for q in all_quads(s.shape):
-        hits_anti = sum(c in s for c in q.antidiagonal_cells)
-        hits_diag = sum(c in s for c in q.diagonal_cells)
-        if hits_anti == hits_diag:
-            kept.append(q)
+    for i, upper in enumerate(mask):
+        for j in range(i + 1, len(mask)):
+            diff = [a - b for a, b in zip(upper, mask[j])]
+            kept += [
+                QuadGen(i + 1, j + 1, k + 1, ell + 1)
+                for k in range(n)
+                for ell in range(k + 1, n)
+                if diff[k] == diff[ell]
+            ]
     return GeneratorSet(s, tuple(kept))
 
 

@@ -20,10 +20,17 @@ from subtoric.fibers import (
     CensusRow,
     DEFAULT_BUDGET,
     Fiber,
+    _check_degree_budget,
     generation_check,
     initial_ideal_census,
 )
-from subtoric.ideal import GeneratorSet, block_reduce, build_generators, move_keys
+from subtoric.ideal import (
+    GeneratorSet,
+    _check_quad_budget,
+    block_reduce,
+    build_generators,
+    move_keys,
+)
 from subtoric.tables import (
     BudgetError,
     Classification,
@@ -134,8 +141,10 @@ def verify_subset(
     is shown to keep the generators and, by its 2x2 contrasts (see
     _same_fibers), the fibers of every degree.  In both classes the
     subset is a full rectangle, its own reduction, so nothing is compared.
-    Neither: hunt for a disconnected fiber; finding none up to the bound
-    is reported as witness None, not as success of any generation claim.
+    A classified subset meets the move-count and every degree's table
+    budget before any move is built.  Neither: hunt for a disconnected
+    fiber, degree by degree; finding none up to the bound is reported
+    as witness None, not as success of any generation claim.
     """
     if max_degree < 0:
         raise ValueError(f"degree bound must be nonnegative, got {max_degree}")
@@ -145,6 +154,12 @@ def verify_subset(
         )
     cls = classify(s)
     target = gset = gb = census = block = witness = None
+    if not cls.is_neither:
+        # Both refusals depend only on the shape and the degree, so a
+        # classified subset meets them before any move is built.
+        _check_quad_budget(s.shape)
+        for d in range(max_degree + 1):
+            _check_degree_budget(s.shape, d, budget)
 
     if cls.triangular is not None:
         target = s.permuted(cls.triangular)

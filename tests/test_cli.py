@@ -557,6 +557,32 @@ def test_walk_negative_steps_exits_2(tmp_path):
         assert_one_error_line(proc)
 
 
+def test_walk_beyond_the_step_ceiling_exits_3_before_any_step(tmp_path, capsys, monkeypatch):
+    from subtoric import cli
+    import subtoric.fibers as fibers_mod
+    from subtoric.tables import MAX_WALK_STEPS
+
+    class NoDraws:
+        def Random(self, *_args):
+            raise AssertionError("walked a step past the ceiling")
+
+    monkeypatch.setattr(fibers_mod, "random", NoDraws())
+    start = tmp_path / "start.csv"
+    start.write_text("1,0\n0,1\n")
+    path = write_subset(tmp_path, "11\n11\n")
+    steps = str(MAX_WALK_STEPS + 1)
+    for extra in ((), ("--tv",), ("--tv", "--json")):
+        argv = ["walk", "--start", str(start), "--steps", steps, *extra, path]
+        assert cli.main(argv) == 3, extra
+        out, err = capsys.readouterr()
+        assert out == ""
+        lines = err.splitlines()
+        assert lines[0] == (
+            "budget exceeded: walk of 10000001 steps exceeds budget 10000000"
+        )
+        assert len(lines) == 2 and lines[1].startswith("elapsed: ")
+
+
 def test_unknown_subcommand_exits_2():
     proc = run_cli("frobnicate")
     assert proc.returncode == 2

@@ -227,6 +227,33 @@ def test_components_match_apply_oracle():
     assert disconnected >= 2
 
 
+def test_components_match_apply_oracle_on_sparse_tables():
+    # Degree-4 fibers hold entries of 2 and more, the move lists repeat
+    # moves, and moves kept only for another subset step out of the fiber.
+    rng = random.Random(412)
+    seen = {"entry >= 2": 0, "foreign": 0, "merged": 0, "split": 0}
+    for m, n in ((2, 3), (3, 3), (3, 2), (3, 4), (4, 3)):
+        for _ in range(2):
+            s = random_subset(rng, m, n)
+            kept = build_generators(s)
+            foreign = [q for q in build_generators(random_subset(rng, m, n)) if q not in kept]
+            seen["foreign"] += len(foreign)
+            # The full kept list, then a thinned one, under which more
+            # fibers fall apart.
+            for thin in (1, 3):
+                moves = list(kept)[::thin] + foreign + list(kept)[::2]
+                rng.shuffle(moves)
+                for d in (2, 3, 4):
+                    fibers = [f for f in fibers_of_degree(s, d) if f.size > 1]
+                    for f in rng.sample(fibers, min(len(fibers), 12)):
+                        comps = fiber_components(f, moves)
+                        assert comps == fiber_components_by_apply(f, moves), (s.to_text(), f.key)
+                        seen["entry >= 2"] += max(max(t.flat) for t in f.tables) >= 2
+                        seen["merged"] += len(comps) < f.size
+                        seen["split"] += len(comps) > 1
+    assert min(seen.values()) >= 5, seen
+
+
 def test_moves_must_fit_the_shape():
     # (1,2,1,3) needs a third column; a flat index would land in row 2.
     s = Subset.full(2, 2)
@@ -682,6 +709,21 @@ def test_walk_matches_apply_oracle():
             expected = random_walk_by_apply(s, start, moves, 400, seed)
             assert tr == expected
             assert list(tr.visit_counts) == list(expected.visit_counts)
+
+
+def test_walk_step_ceiling_is_inclusive_and_checked_before_any_step(monkeypatch):
+    import subtoric.fibers as fibers_mod
+    from subtoric.tables import MAX_WALK_STEPS
+
+    assert MAX_WALK_STEPS == 10_000_000
+    s = Subset.full(2, 2)
+    start = CellTable.from_rows([[1, 0], [0, 1]])
+    moves = build_generators(s)
+    monkeypatch.setattr(fibers_mod, "MAX_WALK_STEPS", 50)
+    assert random_walk(s, start, moves, 50, seed=3).steps == 50
+    with pytest.raises(BudgetError) as err:
+        random_walk(s, start, moves, 51, seed=3)
+    assert str(err.value) == "walk of 51 steps exceeds budget 50"
 
 
 def test_walk_vs_exact_mixes_on_two_table_fiber():

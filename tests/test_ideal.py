@@ -146,6 +146,34 @@ def test_all_quads_refuses_too_many_moves_before_building_any(monkeypatch):
 
 # ---------------------------------------------------------- build_generators
 
+def _kept_by_counting(s):
+    return [
+        q
+        for q in all_quads(s.shape)
+        if sum(c in s for c in q.antidiagonal_cells) == sum(c in s for c in q.diagonal_cells)
+    ]
+
+
+def test_generators_are_the_kept_candidates_in_order_on_every_small_subset():
+    shapes = {(m, n) for m in range(1, 4) for n in range(1, 5)}
+    shapes |= {(n, m) for m, n in shapes}
+    assert max(shapes) == (4, 3) and (3, 4) in shapes
+    for m, n in sorted(shapes):
+        for bits in range(1 << (m * n)):
+            s = S(m, n, *[(k // n + 1, k % n + 1) for k in range(m * n) if bits >> k & 1])
+            assert list(build_generators(s).quads) == _kept_by_counting(s), s.to_text()
+
+
+def test_generators_are_the_kept_candidates_in_order_on_seeded_subsets():
+    rng = random.Random(413)
+    for _ in range(60):
+        m, n = rng.randint(2, 9), rng.randint(2, 9)
+        s = random_subset(rng, m, n, rng.choice((0.2, 0.5, 0.8)))
+        if rng.random() < 0.3:
+            s = random_staircase(rng, m, n).permuted(random_perm_pair(rng, m, n))
+        assert list(build_generators(s).quads) == _kept_by_counting(s), s.to_text()
+
+
 def test_generators_full_2x2():
     g = build_generators(Subset.full(2, 2))
     assert g.index_set == ((1, 2, 1, 2),)

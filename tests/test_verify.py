@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import hashlib
+import io
+import json
+import random
+from itertools import combinations_with_replacement, product
+
 import pytest
 
 from subtoric.fibers import Budget
 from subtoric.tables import (
     BudgetError,
+    PermPair,
     Subset,
     TableShape,
     block_pattern,
@@ -178,6 +185,72 @@ def test_large_patterns_refuse_on_budget_before_the_s_pair_loop(monkeypatch):
         with pytest.raises(BudgetError) as err:
             verify_subset(s, 4)
         assert str(err.value) == "508080 degree-3 tables on 12x12 exceed budget 200000"
+
+
+def test_classified_subsets_refuse_on_budget_before_building_moves(monkeypatch):
+    import subtoric.verify as verify_mod
+
+    def too_early(*_args):
+        raise AssertionError("moves built before the budget check")
+
+    monkeypatch.setattr(verify_mod, "build_generators", too_early)
+    stair = S(30, 30, *[(i, j) for i in range(1, 31) for j in range(1, 32 - i)])
+    rng = random.Random(414)
+    rows, cols = list(range(1, 31)), list(range(1, 31))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    blocks = block_pattern(TableShape(30, 30), 12, 17).permuted(PermPair(tuple(rows), tuple(cols)))
+    for s in (stair, blocks):
+        with pytest.raises(BudgetError) as err:
+            verify_subset(s, 4)
+        assert str(err.value) == "405450 degree-2 tables on 30x30 exceed budget 200000"
+
+
+def test_neither_subsets_keep_the_degree_by_degree_budget():
+    # Degree 4 on 3x3 is 495 tables, over this budget, but the diagonal's
+    # witness has degree 3, so the hunt finds it before meeting degree 4.
+    budget = Budget(max_tables_per_degree=200)
+    rep = verify_subset(S(3, 3, (1, 1), (2, 2), (3, 3)), 4, budget)
+    assert rep.neither_witness.key.degree == 3
+    with pytest.raises(BudgetError, match="^495 degree-4 tables on 3x3 exceed budget 200$"):
+        verify_subset(Subset.full(3, 3), 4, budget)
+
+
+def _doubly_sorted(m, n):
+    """Every m x n subset whose rows, read as bit strings, ascend from the
+    top and whose columns ascend from the left.  Sorting the rows, then
+    the columns, and so on, reaches such a subset from any subset: each
+    sort gives the smallest row-major bit string its permutations allow,
+    so the string never grows and the sorting stops.  So this meets
+    every orbit under row and column permutations."""
+    for rows in combinations_with_replacement(list(product((0, 1), repeat=n)), m):
+        if list(zip(*rows)) == sorted(zip(*rows)):
+            yield "".join("".join(map(str, r)) + "\n" for r in rows)
+
+
+# sha256 of every `verify --degree 4 --json` stdout below, in order, as
+# the hunt that scanned every step on flat tables printed it.
+ORBIT_DIGEST = "0559e880aa381f1b923bbc7c5fddbeda6e6c1342f9296f211c30a0be9ef9e9d3"
+
+
+def test_every_neither_orbit_up_to_4x4_has_a_witness_and_frozen_output(monkeypatch, capsys):
+    from subtoric import cli
+
+    digest = hashlib.sha256()
+    counts = {"orbits": 0, "neither": 0}
+    for m, n in product(range(1, 5), repeat=2):
+        for text in _doubly_sorted(m, n):
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            assert cli.main(["verify", "--degree", "4", "--json", "-"]) == 0
+            out = capsys.readouterr().out
+            digest.update(out.encode())
+            payload = json.loads(out)["payload"]
+            if not any(payload["classification"].values()):
+                assert payload["neither_witness"] is not None, text
+                counts["neither"] += (m, n) == (4, 4)
+            counts["orbits"] += (m, n) == (4, 4)
+    assert counts == {"orbits": 650, "neither": 571}
+    assert digest.hexdigest() == ORBIT_DIGEST
 
 
 def test_negative_degree_bound_is_rejected():
