@@ -6,21 +6,31 @@ is represented by None.  The monomial order ranks the variables of the
 bottom table row highest, reading each row left to right and the rows
 from the bottom up; comparison is plain lex on that variable sequence.
 
-Division and Buchberger's criterion run on flat exponent tuples laid out
-in that precedence order, so comparing two monomials is comparing two
-tuples.  Each generator's leading term also carries its support as an
-int bitmask, and generators are indexed under the lowest cell of that
-support; the first divisor of a monomial is then found by scanning only
-the index lists of the cells the monomial uses.
+Division and Buchberger's criterion run on sparse keys: a monomial is the
+tuple of its variables' negated precedence positions, one entry per unit
+of exponent, in descending order, so comparing two monomials is comparing
+two tuples, whatever their degrees.  A leading term divides a monomial
+exactly when it is one of the monomial's sub-multisets, so the first
+divisor is found by dictionary lookups of those sub-multisets, and an
+S-pair is formed only for leading terms that share a cell.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import compress
+from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from subtoric.tables import CellTable, PermPair, ShapeMismatchError, TableShape
+from subtoric.tables import (
+    MAX_S_PAIRS,
+    BudgetError,
+    CellTable,
+    PermPair,
+    ShapeMismatchError,
+    TableShape,
+)
 
 # A monomial as MonomialOrder.key gives it, and an oriented binomial of two.
 Key = tuple[int, ...]
@@ -32,20 +42,22 @@ class MonomialOrder:
     shape: TableShape
 
     def key(self, t: CellTable) -> Key:
-        """Exponents in precedence order: row m first, columns ascending."""
+        """Each variable's negated precedence position (row m first,
+        columns ascending, from 0), repeated by its exponent, descending."""
         if t.shape != self.shape:
             raise ShapeMismatchError(f"monomial on {t.shape}, order on {self.shape}")
-        return tuple(e for row in reversed(t.entries) for e in row)
+        flat = (e for row in reversed(t.entries) for e in row)
+        return tuple(-p for p, e in enumerate(flat) for _ in range(e))
 
     def cells_key(self, cells: Iterable[tuple[int, int]]) -> Key:
         """The key of a product of cell variables, with no CellTable built."""
         m, n = self.shape.m, self.shape.n
-        out = [0] * (m * n)
+        out = []
         for i, j in cells:
             if not (1 <= i <= m and 1 <= j <= n):
                 raise ValueError(f"cell ({i},{j}) outside {self.shape}")
-            out[(m - i) * n + j - 1] += 1
-        return tuple(out)
+            out.append((i - m) * n + 1 - j)
+        return tuple(sorted(out, reverse=True))
 
 
 def lex_compare(a: CellTable, b: CellTable, order: MonomialOrder) -> int:
@@ -130,82 +142,45 @@ class ReductionStep:
         }
 
 
+def _replaced(t: Key, old: Key, new: Key) -> Key:
+    """t with one copy of each entry of old removed, where present, and
+    new's entries added, in key order."""
+    out = list(t)
+    for p in old:
+        if p in out:
+            out.remove(p)
+    out += new
+    out.sort(reverse=True)
+    return tuple(out)
+
+
 class _Divider:
     """Oriented (leading, trailing) generators prepared for division on
-    ``MonomialOrder.key`` tuples.  For generator ``idx`` it holds the
-    leading term's support as a bitmask, its exponents above 1 (the only
-    ones the bitmask cannot check), the nonzero entries of trailing minus
-    leading, and, under the lowest set bit of the support, ``idx`` in an
-    ascending list.
+    ``MonomialOrder.key`` tuples: each distinct leading term maps to the
+    smallest index that has it.
     """
 
     def __init__(self, gens: Sequence[Pair], shape: TableShape) -> None:
         self.shape = shape
         self.lead = [lt for lt, _ in gens]
         self.trail = [tt for _, tt in gens]
-        self._cells = range(shape.m * shape.n)
-        self._bit = tuple(1 << p for p in self._cells)
-        self.bits = [self.support_bits(lt) for lt in self.lead]
-        self.support = [
-            tuple((p, e) for p, e in enumerate(lt) if e) for lt in self.lead
-        ]
-        self._high = [tuple((p, e) for p, e in sup if e > 1) for sup in self.support]
-        self._delta = [
-            tuple((p, b - a) for p, (a, b) in enumerate(zip(lt, tt)) if a != b)
-            for lt, tt in gens
-        ]
-        self._by_low: list[list[int]] = [[] for _ in self._cells]
-        for idx, b in enumerate(self.bits):
-            self._by_low[(b & -b).bit_length() - 1].append(idx)
-
-    def support_bits(self, t: Key) -> int:
-        return sum(compress(self._bit, t))
+        self._first: dict[Key, int] = {}
+        for idx, lt in enumerate(self.lead):
+            self._first.setdefault(lt, idx)
+        self._degrees = sorted({len(lt) for lt in self._first})
 
     def first_divisor(self, t: Key) -> Optional[int]:
-        """The smallest generator index whose leading term divides t.
-
-        A leading term lives in the list of its lowest support cell, and
-        that cell must be in t's support, so only those lists can hold a
-        divisor.  Each list is ascending, so its scan stops at the best
-        hit found so far.
-        """
-        tbits = self.support_bits(t)
-        bits, high, by_low = self.bits, self._high, self._by_low
-        best = len(bits)
-        for p in compress(self._cells, t):
-            for idx in by_low[p]:
-                if idx >= best:
-                    break
-                if not bits[idx] & ~tbits and (
-                    not high[idx] or all(t[q] >= e for q, e in high[idx])
-                ):
+        """The smallest generator index whose leading term divides t: the
+        smallest index found among t's sub-multisets of each leading-term
+        degree."""
+        get, none = self._first.get, len(self.lead)
+        best = none
+        for d in self._degrees:
+            for sub in combinations(t, d):
+                idx = get(sub, none)
+                if idx < best:
                     best = idx
-                    break
-        return best if best < len(bits) else None
-
-    def rewrite(self, t: Key, idx: int) -> Key:
-        """t with generator idx's leading term replaced by its trailing term."""
-        out = list(t)
-        for p, d in self._delta[idx]:
-            out[p] += d
-        return tuple(out)
-
-    def _lifted_trail(self, i: int, j: int) -> Key:
-        """Generator j's trailing term times lcm(lead i, lead j) / lead j."""
-        lj = self.lead[j]
-        out = list(self.trail[j])
-        for p, e in self.support[i]:
-            if e > lj[p]:
-                out[p] += e - lj[p]
-        return tuple(out)
-
-    def s_pair(self, i: int, j: int) -> Optional[Pair]:
-        """The S-polynomial of generators i and j, oriented; None when it
-        collapses.  Same terms as ``s_polynomial`` on the binomials."""
-        a, b = self._lifted_trail(i, j), self._lifted_trail(j, i)
-        if a == b:
-            return None
-        return (a, b) if a > b else (b, a)
+        return best if best < none else None
 
     def reduce(
         self, plus: Key, minus: Key
@@ -217,9 +192,9 @@ class _Divider:
         as (generator index, oriented binomial after the step) pairs.
         """
         steps: list[tuple[int, Optional[Pair]]] = []
-        first, rewrite = self.first_divisor, self.rewrite
+        first, lead, trail = self.first_divisor, self.lead, self.trail
         while (idx := first(plus)) is not None:
-            replaced = rewrite(plus, idx)
+            replaced = _replaced(plus, lead[idx], trail[idx])
             if replaced == minus:
                 steps.append((idx, None))
                 return None, steps
@@ -227,18 +202,21 @@ class _Divider:
             steps.append((idx, (plus, minus)))
         # Oriented generators only shrink a term, so plus stays in front.
         while (idx := first(minus)) is not None:
-            minus = rewrite(minus, idx)
+            minus = _replaced(minus, lead[idx], trail[idx])
             steps.append((idx, (plus, minus)))
         return (plus, minus), steps
 
-    def table(self, t: Key) -> CellTable:
-        """The inverse of ``MonomialOrder.key``."""
-        n = self.shape.n
-        rows = [t[r : r + n] for r in range(0, len(t), n)]
-        return CellTable(self.shape, tuple(reversed(rows)))
-
     def binomial(self, pair: Pair) -> Binomial:
-        return Binomial(self.table(pair[0]), self.table(pair[1]))
+        """The inverse of ``MonomialOrder.key`` on both sides."""
+        m, n = self.shape.m, self.shape.n
+        sides = []
+        for t in pair:
+            rows = [[0] * n for _ in range(m)]
+            for q in t:
+                r, c = divmod(-q, n)
+                rows[m - 1 - r][c] += 1
+            sides.append(CellTable(self.shape, tuple(map(tuple, rows))))
+        return Binomial(*sides)
 
 
 def normal_form(
@@ -308,22 +286,42 @@ def buchberger_check(
 
 
 def buchberger_check_keys(gens: Sequence[Pair], order: MonomialOrder) -> BuchbergerReport:
-    """``buchberger_check`` on oriented (leading, trailing) key pairs."""
+    """``buchberger_check`` on oriented (leading, trailing) key pairs.
+
+    Generators are filed under their leading terms' cells, and the pairs
+    to check are read off those lists.  Their number comes first, by
+    inclusion-exclusion over each leading term's 2^s - 1 nonempty cell
+    sets; more than MAX_S_PAIRS raise BudgetError before any reduction.
+    """
     div = _Divider(gens, order.shape)
-    bits = div.bits
-    checked = skipped = 0
+    supports = [tuple(dict.fromkeys(lt)) for lt in div.lead]
+    shared = Counter(
+        cells for sup in supports for r in range(1, len(sup) + 1)
+        for cells in combinations(sup, r)
+    )
+    checked = sum((-1) ** (len(c) + 1) * k * (k - 1) // 2 for c, k in shared.items())
+    if checked > MAX_S_PAIRS:
+        raise BudgetError(f"{checked} S-pairs on {order.shape} exceed budget {MAX_S_PAIRS}")
+    by_cell: defaultdict[int, list[int]] = defaultdict(list)
+    for idx, sup in enumerate(supports):
+        for p in sup:
+            by_cell[p].append(idx)
+    lead, trail = div.lead, div.trail
     failure: Optional[BuchbergerFailure] = None
-    for i in range(len(bits)):
-        bits_i = bits[i]
-        for j in range(i + 1, len(bits)):
-            if not bits_i & bits[j]:
-                skipped += 1
+    for i, sup in enumerate(supports):
+        li, ti = lead[i], trail[i]
+        later: set[int] = set()
+        for p in sup:
+            row = by_cell[p]
+            later.update(row[bisect_right(row, i) :])
+        for j in sorted(later):
+            # Each trailing term times lcm(lead i, lead j) / its own lead;
+            # the same terms as ``s_polynomial``.
+            a, b = _replaced(li, lead[j], trail[j]), _replaced(lead[j], li, ti)
+            if a == b:
                 continue
-            checked += 1
-            f = div.s_pair(i, j)
-            if f is None:
-                continue
-            remainder, _ = div.reduce(*f)
+            remainder, _ = div.reduce(*((a, b) if a > b else (b, a)))
             if remainder is not None and failure is None:
                 failure = BuchbergerFailure(i, j, div.binomial(remainder))
-    return BuchbergerReport(failure is None, checked, skipped, failure)
+    k = len(supports)
+    return BuchbergerReport(failure is None, checked, k * (k - 1) // 2 - checked, failure)

@@ -31,6 +31,8 @@ class BudgetError(RuntimeError):
 MAX_JSON_CELLS = 10_000
 # The most candidate moves, C(m, 2) * C(n, 2), a shape may build one by one.
 MAX_QUADS = 1_000_000
+# The most S-pairs (leading terms that share a cell) one Buchberger check reduces.
+MAX_S_PAIRS = 1_000_000
 # The most steps one random walk may take.
 MAX_WALK_STEPS = 10_000_000
 # The largest table side classify_oracle takes; it is exponential in the sides.

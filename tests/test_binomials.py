@@ -16,10 +16,20 @@ from subtoric.binomials import (
     orient,
     s_polynomial,
 )
+import subtoric.binomials as binomials_mod
 from subtoric.ideal import build_generators
-from subtoric.tables import CellTable, PermPair, Subset, TableShape, margins
+from subtoric.tables import (
+    MAX_S_PAIRS,
+    BudgetError,
+    CellTable,
+    PermPair,
+    Subset,
+    TableShape,
+    margins,
+)
 from util import (
     buchberger_by_scan,
+    dense_key,
     normal_form_by_scan,
     random_staircase,
     random_subset,
@@ -79,6 +89,39 @@ def test_lex_is_a_total_order_on_random_triples():
             assert lex_compare(a, c, order) > 0
         if ab > 0:
             assert lex_compare(a * c, b * c, order) > 0
+
+
+def pooled_cells(rng, m, n, degree):
+    """degree cells drawn from a few of the shape's, so exponents of 2
+    and more are common."""
+    pool = [(rng.randint(1, m), rng.randint(1, n)) for _ in range(rng.randint(1, 4))]
+    return [rng.choice(pool) for _ in range(degree)]
+
+
+def table_of(m, n, cells):
+    rows = [[0] * n for _ in range(m)]
+    for i, j in cells:
+        rows[i - 1][j - 1] += 1
+    return CellTable.from_rows(rows)
+
+
+def test_sparse_keys_compare_as_dense_exponent_tuples():
+    rng = random.Random(1313)
+    unequal_degrees = high_exponents = 0
+    for m, n in ((1, 1), (2, 3), (7, 7)):
+        order = MonomialOrder(TableShape(m, n))
+        for _ in range(400):
+            cells_a = pooled_cells(rng, m, n, rng.randint(0, 6))
+            cells_b = pooled_cells(rng, m, n, rng.randint(0, 6))
+            a, b = table_of(m, n, cells_a), table_of(m, n, cells_b)
+            ka, kb = order.key(a), order.key(b)
+            assert (ka, kb) == (order.cells_key(cells_a), order.cells_key(cells_b))
+            da, db = dense_key(a), dense_key(b)
+            assert (ka > kb) - (ka < kb) == (da > db) - (da < db), (a, b)
+            assert (ka == kb) == (a == b)
+            unequal_degrees += a.degree != b.degree
+            high_exponents += max(da) >= 2
+    assert unequal_degrees > 500 and high_exponents > 500
 
 
 def test_lex_rejects_foreign_shapes():
@@ -398,6 +441,26 @@ def test_buchberger_matches_scan_on_7x7_staircase():
     assert report == buchberger_by_scan(gens, order)
 
 
+def test_s_pair_ceiling_is_inclusive_and_refuses_before_any_reduction(monkeypatch):
+    assert MAX_S_PAIRS == 1_000_000
+    gens, order = subset_gens(Subset.empty(4, 4))
+    report = buchberger_check(gens, order)
+    pairs = report.checked_pairs
+    assert report.passed and pairs + report.skipped_coprime == 36 * 35 // 2
+    monkeypatch.setattr(binomials_mod, "MAX_S_PAIRS", pairs)
+    assert buchberger_check(gens, order) == report
+
+    def no_reduction(*_args):
+        raise AssertionError("reduced an S-pair past the ceiling")
+
+    monkeypatch.setattr(binomials_mod, "MAX_S_PAIRS", pairs - 1)
+    monkeypatch.setattr(binomials_mod._Divider, "reduce", no_reduction)
+    with pytest.raises(
+        BudgetError, match=f"^{pairs} S-pairs on 4x4 exceed budget {pairs - 1}$"
+    ):
+        buchberger_check(gens, order)
+
+
 def test_normal_form_matches_scan_on_random_cases():
     rng = random.Random(203)
     sh = TableShape(3, 3)
@@ -430,6 +493,54 @@ def test_normal_form_matches_scan_on_random_cases():
     assert compared > 100
 
 
+def random_oriented(rng, order, lead, avoid=None):
+    """lead minus a random monomial of its degree below it, other than
+    avoid; None when none turns up."""
+    m, n = order.shape.m, order.shape.n
+    for _ in range(50):
+        trail = table_of(m, n, pooled_cells(rng, m, n, lead.degree))
+        if order.key(trail) < order.key(lead) and trail != avoid:
+            return Binomial(lead, trail)
+    return None
+
+
+def test_divider_matches_scan_on_arbitrary_binomials():
+    # Leading terms of degree 1 to 3, squares, repeats, and targets of
+    # degree 6 or 7, not only the squarefree quadratic leads of moves.
+    rng = random.Random(1314)
+    order = MonomialOrder(TableShape(3, 3))
+    seen = dict.fromkeys(("deg1", "deg3", "square", "repeat", "multi_fail"), 0)
+    def lead(degree):
+        return table_of(3, 3, pooled_cells(rng, 3, 3, degree))
+
+    for _ in range(150):
+        gens = [random_oriented(rng, order, lead(rng.choice((1, 2, 2, 3)))) for _ in range(6)]
+        gens = [g for g in gens if g is not None][: rng.randint(1, 6)]
+        g = rng.choice(gens)
+        again = random_oriented(rng, order, g.plus, avoid=g.minus)
+        if again is not None and rng.random() < 0.4:
+            gens.insert(rng.randint(0, len(gens)), again)
+            seen["repeat"] += 1
+        leads = [g.plus for g in gens]
+        seen["deg1"] += any(t.degree == 1 for t in leads)
+        seen["deg3"] += any(t.degree == 3 for t in leads)
+        seen["square"] += any(e >= 2 for t in leads for e in t.flat)
+        failing = sum(
+            normal_form_by_scan(s_polynomial(gi, gj, order), gens, order)[0] is not None
+            for k, gi in enumerate(gens)
+            for gj in gens[k + 1 :]
+            if not gi.plus.coprime(gj.plus)
+        )
+        seen["multi_fail"] += failing >= 2
+        report = buchberger_check(gens, order)
+        assert report == buchberger_by_scan(gens, order), gens
+        assert report.passed == (failing == 0)
+        f = random_oriented(rng, order, lead(rng.randint(6, 7)))
+        if f is not None:
+            assert normal_form(f, gens, order) == normal_form_by_scan(f, gens, order)
+    assert min(seen.values()) >= 30, seen
+
+
 def test_divisor_check_reads_exponents_beyond_the_support():
     # The leading term x21^2 has its support inside that of x12*x21*x22
     # but does not divide it; the minor's x12*x21 does.
@@ -449,8 +560,8 @@ def test_divisor_check_reads_exponents_beyond_the_support():
 
 
 def test_first_divisor_is_lowest_index_across_index_lists():
-    # Both leading terms divide the target.  The scan reaches the index
-    # list of x31 (bottom row) before that of x21, yet list order decides.
+    # Both leading terms divide the target, one holding the bottom-row
+    # x31 and one not; list order decides, not the cells' precedence.
     sh = TableShape(3, 3)
     order = MonomialOrder(sh)
     g12 = minor(sh, 1, 2, 1, 2)  # x12*x21 - x11*x22

@@ -534,6 +534,25 @@ def test_subset_with_too_many_candidate_moves_exits_3(tmp_path, capsys):
     assert capsys.readouterr().out.endswith("class: both\n")
 
 
+def test_full_grid_past_the_s_pair_ceiling_exits_3(tmp_path, capsys):
+    # All 11,025 moves of a full 15x15 grid are kept, and 1,226,225 pairs
+    # of them share a leading cell, so the check is refused before any
+    # S-pair is reduced.
+    from subtoric import cli
+
+    cells = [[i, j] for i in range(1, 16) for j in range(1, 16)]
+    path = write_subset(tmp_path, json.dumps({"m": 15, "n": 15, "cells": cells}), "s.json")
+    for argv in (["check-gb"], ["check-gb", "--json"], ["verify", "--degree", "2"]):
+        assert cli.main(argv + [path]) == 3, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        lines = err.splitlines()
+        assert lines[0] == (
+            "budget exceeded: 1226225 S-pairs on 15x15 exceed budget 1000000"
+        )
+        assert len(lines) == 2 and lines[1].startswith("elapsed: ")
+
+
 def test_subset_json_duplicate_cells_are_merged(tmp_path, capsys):
     # A subset is a set of cells: a cell listed twice counts once.
     from subtoric import cli

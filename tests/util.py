@@ -1,7 +1,8 @@
 """Shared helpers for the test suite: seeded random subsets and patterns,
 a table-scanning census oracle, a fiber-listing partition oracle, a move
 expansion by products of cell variables, a division and Buchberger
-oracle that works on CellTables with a linear divisor scan, walk and
+oracle that works on CellTables with a linear divisor scan, the dense
+exponent-tuple key the sparse monomial keys replace, walk and
 component oracles that move CellTables one ``apply_move`` at a time, a
 two-block test and a permutation oracle that check cell by cell, a
 fiber hunt over ``fibers_of_degree``, and a neither-class test by 2x3
@@ -103,6 +104,12 @@ def random_table(rng: random.Random, m: int, n: int, degree: int) -> CellTable:
     for _ in range(degree):
         entries[rng.randrange(m)][rng.randrange(n)] += 1
     return CellTable.from_rows(entries)
+
+
+def dense_key(t: CellTable) -> tuple[int, ...]:
+    """t's exponents in precedence order, bottom row first and each row
+    left to right; lex comparison of these tuples is the monomial order."""
+    return tuple(e for row in reversed(t.entries) for e in row)
 
 
 def census_by_scan(
