@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 
 from subtoric.binomials import MonomialOrder, buchberger_check_keys
 from subtoric.fibers import (
+    check_walk_steps,
     enumerate_fiber,
     initial_ideal_census,
     random_walk,
@@ -182,16 +183,26 @@ def _cmd_fiber(args) -> int:
     s = _load_subset(args.subset)
     key = Margins.from_json_dict(json.loads(args.key))
     fiber = enumerate_fiber(s, key)
-    lines = [f"size: {fiber.size}"]
-    lines += [f"  {_table_inline(t.entries)}" for t in fiber.tables]
-    _emit(args, "fiber", fiber.to_json_dict(), lines)
+    if args.json:
+        _emit(args, "fiber", fiber.to_json_dict(), ())
+    else:
+        lines = [f"size: {fiber.size}"]
+        lines += [f"  {_table_inline(t.entries)}" for t in fiber.tables]
+        _emit(args, "fiber", None, lines)
     return 0
 
 
 def _cmd_walk(args) -> int:
     s = _load_subset(args.subset)
     start = table_from_csv(_read_text(args.start))
-    trace = random_walk(s, start, build_generators(s), args.steps, args.seed)
+    moves = build_generators(s)
+    fiber = None
+    if args.tv:
+        # An over-budget fiber is refused before the first step, after
+        # the step count.
+        check_walk_steps(args.steps)
+        fiber = enumerate_fiber(s, margins(s, start))
+    trace = random_walk(s, start, moves, args.steps, args.seed)
     payload = trace.to_json_dict()
     lines = [
         f"seed: {trace.seed}",
@@ -199,8 +210,8 @@ def _cmd_walk(args) -> int:
         f"distinct tables: {len(trace.visit_counts)}",
         f"final: {_table_inline(trace.final.entries)}",
     ]
-    if args.tv:
-        tv = walk_tv(enumerate_fiber(s, margins(s, start)), trace)
+    if fiber is not None:
+        tv = walk_tv(fiber, trace)
         payload["tv"] = tv
         lines.append(f"tv: {tv:.6f}")
     _emit(args, "walk", payload, lines)

@@ -551,23 +551,29 @@ class WalkTrace:
         }
 
 
+def check_walk_steps(steps: int) -> None:
+    """Refuse a negative walk length, then one past MAX_WALK_STEPS."""
+    if steps < 0:
+        raise ValueError(f"walk length must be nonnegative, got {steps}")
+    if steps > MAX_WALK_STEPS:
+        raise BudgetError(f"walk of {steps} steps exceeds budget {MAX_WALK_STEPS}")
+
+
 def random_walk(
     s: Subset, start: CellTable, moves: Collection[QuadGen], steps: int, seed: int
 ) -> WalkTrace:
     """Lazy symmetric walk: pick a move and a sign uniformly, apply when
     the result stays nonnegative, otherwise stay put.
 
-    Identical seed and inputs give an identical trace; the generator is
-    consumed as one randrange plus one choice per step.  Every move is
-    checked once, before the first step: it must fit the shape and meet
-    the subset as often on its diagonal as on its antidiagonal, or the
-    walk raises ValueError.  More than MAX_WALK_STEPS steps raise
-    BudgetError before the first.
+    Identical seed and inputs give an identical trace.  Each step draws
+    through getrandbits exactly as one randrange plus one choice of sign
+    would; tests pin this against random_walk_by_apply, which calls both.
+    check_walk_steps refuses the step count first.  Every move is checked
+    once, before the first step: it must fit the shape and meet the
+    subset as often on its diagonal as on its antidiagonal, or the walk
+    raises ValueError.
     """
-    if steps < 0:
-        raise ValueError(f"walk length must be nonnegative, got {steps}")
-    if steps > MAX_WALK_STEPS:
-        raise BudgetError(f"walk of {steps} steps exceeds budget {MAX_WALK_STEPS}")
+    check_walk_steps(steps)
     if start.shape != s.shape:
         raise ShapeMismatchError(f"shape mismatch: {s.shape} vs {start.shape}")
     inside = [hit for row in s.mask for hit in row]
@@ -575,25 +581,38 @@ def random_walk(
     for q, ((up, down), _) in zip(moves, pool):
         if sum(inside[c] for c in up) != sum(inside[c] for c in down):
             raise ValueError(f"move {q.as_tuple} left the fiber")
-    rng = random.Random(seed)
-    randrange, choice, count = rng.randrange, rng.choice, len(pool)
+    if not pool:
+        return WalkTrace(seed, steps, {start: steps + 1}, start, 0)
+    getrandbits = random.Random(seed).getrandbits
+    count = len(pool)
+    bits = count.bit_length()
     current = list(start.flat)
     state = start.flat
-    counts = {state: 1}
+    # Visits are added a run at a time, when the walk leaves a table and
+    # after the last step, so first visits keep the dict's order.
+    counts: dict[tuple[int, ...], int] = {}
+    run = 1
     accepted = 0
     for _ in range(steps):
-        if pool:
-            # choice() over the two signed steps draws exactly as a
-            # choice of the sign (+1, -1) would.
-            (u1, u2), (d1, d2) = choice(pool[randrange(count)])
-            if current[d1] and current[d2]:
-                current[u1] += 1
-                current[u2] += 1
-                current[d1] -= 1
-                current[d2] -= 1
-                state = tuple(current)
-                accepted += 1
-        counts[state] = counts.get(state, 0) + 1
+        i = getrandbits(bits)
+        while i >= count:
+            i = getrandbits(bits)
+        sign = getrandbits(2)
+        while sign >= 2:
+            sign = getrandbits(2)
+        (u1, u2), (d1, d2) = pool[i][sign]
+        if current[d1] and current[d2]:
+            counts[state] = counts.get(state, 0) + run
+            run = 1
+            current[u1] += 1
+            current[u2] += 1
+            current[d1] -= 1
+            current[d2] -= 1
+            state = tuple(current)
+            accepted += 1
+        else:
+            run += 1
+    counts[state] = counts.get(state, 0) + run
     visits = {_from_flat(s.shape, flat): c for flat, c in counts.items()}
     return WalkTrace(seed, steps, visits, _from_flat(s.shape, state), accepted)
 

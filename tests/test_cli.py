@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -411,6 +412,71 @@ def test_fiber_and_walk_tv_on_1x1200(tmp_path):
     assert proc.stdout.endswith("tv: 0.000000\n")
 
 
+# The sample benchmark's two degree-6 starts: (subset grid, start CSV).
+WALK_STARTS = {
+    "full4": ("1111\n1111\n1111\n1111\n", "1,1,0,0\n0,1,1,0\n0,0,0,1\n1,0,0,0\n"),
+    "stair5": (
+        "11110\n11100\n11000\n10000\n00000\n",
+        "1,0,0,0,0\n0,1,0,0,0\n0,0,1,0,0\n0,0,0,1,0\n1,0,0,0,1\n",
+    ),
+}
+# sha256 over the stdout of every walk and every fiber of these starts, in
+# the order run below, as the walk drawing through randrange and choice
+# printed it.
+WALK_DIGEST = "b840aa49bf2be0818d7e0a9bf80d515298d25ab2486684ec1965292f0c9f88d8"
+FIBER_DIGEST = "6855860388c269c88e7de9888e1d54b4c3f172836b236597fe9faf634c4c19c4"
+
+
+def test_walk_stdout_golden(tmp_path, capsys):
+    from subtoric import cli
+
+    digest = hashlib.sha256()
+    for label, (grid, csv) in sorted(WALK_STARTS.items()):
+        path = write_subset(tmp_path, grid, f"{label}.txt")
+        start = write_subset(tmp_path, csv, f"{label}.csv")
+        for seed in ("0", "1", "1401", "2147483647"):
+            for steps in ("0", "1", "4000"):
+                walk = ["walk", "--start", start, "--steps", steps, "--seed", seed]
+                for extra in ((), ("--json",), ("--tv",), ("--tv", "--json")):
+                    assert cli.main(walk + [*extra, path]) == 0
+                    digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == WALK_DIGEST
+
+
+def test_fiber_stdout_golden(tmp_path, capsys):
+    from subtoric import cli
+    from subtoric.fibers import table_from_csv
+    from subtoric.tables import Subset, margins
+
+    digest = hashlib.sha256()
+    for label, (grid, csv) in sorted(WALK_STARTS.items()):
+        path = write_subset(tmp_path, grid, f"{label}.txt")
+        s = Subset.from_text(grid)
+        key = margins(s, table_from_csv(csv)).to_json_dict()
+        for extra in ((), ("--json",)):
+            assert cli.main(["fiber", "--key", json.dumps(key), *extra, path]) == 0
+            digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == FIBER_DIGEST
+
+
+def test_fiber_builds_only_the_chosen_output(monkeypatch, tmp_path, capsys):
+    from subtoric import cli
+    from subtoric.fibers import Fiber
+
+    def refuse(*_args):
+        raise AssertionError("built output the mode does not print")
+
+    path = write_subset(tmp_path, "11\n11\n")
+    key = json.dumps({"rows": [1, 1], "cols": [1, 1], "s_sum": 2})
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "_table_inline", refuse)
+        assert cli.main(["fiber", "--key", key, "--json", path]) == 0
+    assert json.loads(capsys.readouterr().out)["payload"]["size"] == 2
+    monkeypatch.setattr(Fiber, "to_json_dict", refuse)
+    assert cli.main(["fiber", "--key", key, path]) == 0
+    assert capsys.readouterr().out == "size: 2\n  0,1 / 1,0\n  1,0 / 0,1\n"
+
+
 def test_walk_requires_start(tmp_path):
     proc = run_cli("walk", write_subset(tmp_path, "11\n11\n"))
     assert proc.returncode == 2
@@ -600,6 +666,42 @@ def test_walk_beyond_the_step_ceiling_exits_3_before_any_step(tmp_path, capsys, 
             "budget exceeded: walk of 10000001 steps exceeds budget 10000000"
         )
         assert len(lines) == 2 and lines[1].startswith("elapsed: ")
+
+
+def test_walk_tv_over_budget_fiber_exits_3_before_any_step(tmp_path, capsys, monkeypatch):
+    from subtoric import cli
+    import subtoric.fibers as fibers_mod
+
+    class NoDraws:
+        def Random(self, *_args):
+            raise AssertionError("walked a step on an over-budget fiber")
+
+    monkeypatch.setattr(fibers_mod, "random", NoDraws())
+    path = write_subset(tmp_path, "11\n11\n")
+    deep = write_subset(tmp_path, "4,0\n0,3\n", "deep.csv")
+    wide = write_subset(tmp_path, "1,0\n0,1\n", "wide.csv")
+    for start, message, budget in (
+        (deep, "fiber degree 7 exceeds budget 6", fibers_mod.DEFAULT_BUDGET),
+        # The two-table fiber only goes over a one-table budget.
+        (wide, "fiber exceeds budget size 1", fibers_mod.Budget(max_fiber_size=1)),
+    ):
+        monkeypatch.setattr(fibers_mod.enumerate_fiber, "__defaults__", (budget,))
+        for extra in (("--tv",), ("--tv", "--json")):
+            argv = ["walk", "--start", start, "--steps", "2000000", *extra, path]
+            assert cli.main(argv) == 3, (message, extra)
+            out, err = capsys.readouterr()
+            assert out == ""
+            lines = err.splitlines()
+            assert lines[0] == f"budget exceeded: {message}"
+            assert len(lines) == 2 and lines[1].startswith("elapsed: ")
+    # The step ceiling still speaks first, and a negative length is still
+    # a usage error.
+    for steps, code, first in (
+        ("10000001", 3, "budget exceeded: walk of 10000001 steps exceeds budget 10000000"),
+        ("-1", 2, "error: walk length must be nonnegative, got -1"),
+    ):
+        assert cli.main(["walk", "--start", deep, "--steps", steps, "--tv", path]) == code
+        assert capsys.readouterr().err.splitlines()[0] == first
 
 
 def test_unknown_subcommand_exits_2():

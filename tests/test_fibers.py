@@ -711,6 +711,41 @@ def test_walk_matches_apply_oracle():
             assert list(tr.visit_counts) == list(expected.visit_counts)
 
 
+def test_walk_draws_as_randrange_and_choice_at_every_pool_size():
+    # Pool sizes 1-40 cover 1, 2, and every power of two up to 32 with
+    # its neighbours, where the redraw rule of randrange changes.  The
+    # first 40 moves of the full 6x6 grid pair row 1 with rows 2-4, so
+    # the starts put their mass there.
+    rng = random.Random(1414)
+    s6 = Subset.full(6, 6)
+    moves = tuple(build_generators(s6))
+    zero_rows = ((0,) * 6,) * 2
+    cases = []
+    for size in range(1, 41):
+        for seed in (0, 7, rng.randrange(2**31)):
+            top = random_table(rng, 4, 6, rng.randint(16, 24))
+            start = CellTable.from_rows(top.entries + zero_rows)
+            cases.append((s6, start, moves[:size], 200, seed))
+    full4 = CellTable.from_rows(
+        [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]]
+    )
+    stair5 = CellTable.from_rows(
+        [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [1, 0, 0, 0, 1]]
+    )
+    stair5_mask = Subset.from_text("11110\n11100\n11000\n10000\n00000\n")
+    for s, start in ((Subset.full(4, 4), full4), (stair5_mask, stair5)):
+        cases.append((s, start, tuple(build_generators(s)), 4000, 1401))
+    moved = 0
+    for s, start, pool, steps, seed in cases:
+        tr = random_walk(s, start, pool, steps, seed)
+        expected = random_walk_by_apply(s, start, pool, steps, seed)
+        assert tr == expected, (len(pool), seed)
+        assert list(tr.visit_counts) == list(expected.visit_counts)
+        moved += tr.accepted > 0
+    # A walk that never moves would match whatever it drew.
+    assert moved >= 0.9 * len(cases)
+
+
 def test_walk_step_ceiling_is_inclusive_and_checked_before_any_step(monkeypatch):
     import subtoric.fibers as fibers_mod
     from subtoric.tables import MAX_WALK_STEPS
