@@ -143,8 +143,8 @@ class ReductionStep:
 
 
 def _replaced(t: Key, old: Key, new: Key) -> Key:
-    """t with one copy of each entry of old removed, where present, and
-    new's entries added, in key order."""
+    """t with one copy of each entry of old removed, where present (old
+    need not divide an S-pair's term), and new's entries added, in key order."""
     out = list(t)
     for p in old:
         if p in out:
@@ -169,42 +169,45 @@ class _Divider:
             self._first.setdefault(lt, idx)
         self._degrees = sorted({len(lt) for lt in self._first})
 
-    def first_divisor(self, t: Key) -> Optional[int]:
-        """The smallest generator index whose leading term divides t: the
-        smallest index found among t's sub-multisets of each leading-term
-        degree."""
-        get, none = self._first.get, len(self.lead)
-        best = none
-        for d in self._degrees:
-            for sub in combinations(t, d):
-                idx = get(sub, none)
-                if idx < best:
-                    best = idx
-        return best if best < none else None
-
     def reduce(
         self, plus: Key, minus: Key
     ) -> tuple[Optional[Pair], list[tuple[int, Optional[Pair]]]]:
         """Divide the leading term until no leading term of a generator
-        divides it, then the trailing term likewise.
+        divides it, then the trailing term likewise.  The divisor is the
+        smallest index found among the term's sub-multisets.
 
         Returns the remainder (None when everything cancels) and the steps
         as (generator index, oriented binomial after the step) pairs.
         """
         steps: list[tuple[int, Optional[Pair]]] = []
-        first, lead, trail = self.first_divisor, self.lead, self.trail
-        while (idx := first(plus)) is not None:
-            replaced = _replaced(plus, lead[idx], trail[idx])
-            if replaced == minus:
-                steps.append((idx, None))
-                return None, steps
-            plus, minus = (replaced, minus) if replaced > minus else (minus, replaced)
-            steps.append((idx, (plus, minus)))
-        # Oriented generators only shrink a term, so plus stays in front.
-        while (idx := first(minus)) is not None:
-            minus = _replaced(minus, lead[idx], trail[idx])
-            steps.append((idx, (plus, minus)))
-        return (plus, minus), steps
+        get, degrees, lead, trail = self._first.get, self._degrees, self.lead, self.trail
+        none = len(lead)
+        pair = (plus, minus)
+        # Oriented generators only shrink a term, so the trailing one stays behind.
+        for side in (0, 1):
+            while True:
+                t, other = pair[side], pair[1 - side]
+                idx = none
+                for d in degrees:
+                    for sub in combinations(t, d):
+                        found = get(sub, none)
+                        if found < idx:
+                            idx = found
+                if idx == none:
+                    break
+                # The divisor's leading term is a sub-multiset of t.
+                out = list(t)
+                for p in lead[idx]:
+                    out.remove(p)
+                out += trail[idx]
+                out.sort(reverse=True)
+                t = tuple(out)
+                if t == other:
+                    steps.append((idx, None))
+                    return None, steps
+                pair = (t, other) if t > other else (other, t)
+                steps.append((idx, pair))
+        return pair, steps
 
     def binomial(self, pair: Pair) -> Binomial:
         """The inverse of ``MonomialOrder.key`` on both sides."""

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Collection, Iterable, Iterator, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 from subtoric.binomials import MonomialOrder
 from subtoric.ideal import GeneratorSet, QuadGen
@@ -431,7 +431,7 @@ def _independent_set_counts(adjacent: Sequence[int], size: int) -> list[int]:
     the graph in which vertex v is adjacent to the bits of adjacent[v].
 
     Iterative DFS over bitmasks, each set grown in ascending vertex
-    order; the last level is counted by popcount, not visited.
+    order; the last level is counted by popcount, never pushed.
     """
     counts = [1] + [0] * size
     if size == 0:
@@ -442,35 +442,37 @@ def _independent_set_counts(adjacent: Sequence[int], size: int) -> list[int]:
         counts[k + 1] += free.bit_count()
         if k + 1 == size:
             continue
+        last = k + 2 == size
         while free:
             low = free & -free
             free ^= low
             nxt = free & ~adjacent[low.bit_length() - 1]
-            if nxt:
+            if last:
+                counts[size] += nxt.bit_count()
+            elif nxt:
                 stack.append((nxt, k + 1))
     return counts
 
 
-def _margin_values(s: Subset, size: int) -> Iterator[set[int]]:
+def _margin_values(s: Subset, size: int) -> list[set[int]]:
     """The distinct values of degree d, for d = 0..size, of the map
     sending a table to its row sums, column sums and its sum over s.
 
     Each cell becomes one integer packing its row, column and indicator
     in base size + 1, so no field carries and a sum of d cells packs
-    exactly the value of the degree-d table they form.
+    exactly the value of the degree-d table they form.  One pass over
+    the cells builds every degree: the sums S(d, k) of d cells among the
+    first k are S(d, k-1) | (c_k + S(d-1, k)), degrees taken ascending.
     """
     m, n = s.shape.m, s.shape.n
     base = size + 1
-    cells = [
-        base**i + base ** (m + j) + s.mask[i][j] * base ** (m + n)
-        for i in range(m)
-        for j in range(n)
-    ]
-    reach = {0}
-    yield reach
-    for _ in range(size):
-        reach = {p + c for p in reach for c in cells}
-        yield reach
+    reach = [{0}] + [set() for _ in range(size)]
+    for i in range(m):
+        for j in range(n):
+            c = base**i + base ** (m + j) + s.mask[i][j] * base ** (m + n)
+            for low, high in zip(reach, reach[1:]):
+                high.update([c + p for p in low])
+    return reach
 
 
 def initial_ideal_census(
@@ -497,7 +499,9 @@ def initial_ideal_census(
 
         fiber_count(d) = |{c_1 + ... + c_d : c_i cells}|,
 
-    the size of degree d's set of packed cell sums from _margin_values.
+    the size of degree d's set of packed cell sums from _margin_values,
+    which builds every degree's set in one pass over the cells, by
+    S(d, k) = S(d, k-1) | (c_k + S(d-1, k)).
 
     Each leading term is read off its move unexpanded: the order reads
     the bottom row first and each row from the left, and in a move's
@@ -637,7 +641,9 @@ def walk_vs_exact(
     budget: Budget = DEFAULT_BUDGET,
 ) -> float:
     """Total-variation distance between the walk's empirical law and the
-    uniform law on the enumerated fiber of the start table."""
+    uniform law on the start table's fiber, enumerated once the step
+    count passes."""
+    check_walk_steps(steps)
     fiber = enumerate_fiber(s, margins(s, start), budget)
     return walk_tv(fiber, random_walk(s, start, moves, steps, seed))
 

@@ -459,6 +459,50 @@ def test_fiber_stdout_golden(tmp_path, capsys):
     assert digest.hexdigest() == FIBER_DIGEST
 
 
+# sha256 over `census --degree 4 --json` of all 70 + 252 4x4 and 5x5
+# staircases, and over `verify --degree 4 --json` of every 5x5 two-block
+# pattern, each with two seeded row and column shuffles, in the order
+# run below, as the census that built each degree's sumset from the
+# last one printed them.
+CENSUS_DIGEST = "e3e4ea10abe76a9077fc6bf5e629ba79b9055af2fd45bf1b249b73b94fbdca87"
+BLOCK_VERIFY_DIGEST = "57a79c1ee83bfad2ef4f9a9c2b369b9cd7f80e0b1752ae7d946923e6eac37f5d"
+
+
+def test_census_stdout_golden(tmp_path, capsys):
+    from subtoric import cli
+    from util import staircases
+
+    grids = [s.to_text() for n in (4, 5) for s in staircases(n, n)]
+    assert len(grids) == 70 + 252
+    digest = hashlib.sha256()
+    path = tmp_path / "subset.txt"
+    for grid in grids:
+        path.write_text(grid)
+        assert cli.main(["census", "--degree", "4", "--json", str(path)]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == CENSUS_DIGEST
+
+
+def test_block_verify_stdout_golden(tmp_path, capsys):
+    import random
+
+    from subtoric import cli
+    from subtoric.tables import TableShape, block_pattern
+    from util import random_perm_pair
+
+    rng = random.Random(1501)
+    digest = hashlib.sha256()
+    path = tmp_path / "subset.txt"
+    for r in range(1, 5):
+        for c in range(1, 5):
+            s = block_pattern(TableShape(5, 5), r, c)
+            for _ in range(2):
+                path.write_text(s.permuted(random_perm_pair(rng, 5, 5)).to_text())
+                assert cli.main(["verify", "--degree", "4", "--json", str(path)]) == 0
+                digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == BLOCK_VERIFY_DIGEST
+
+
 def test_fiber_builds_only_the_chosen_output(monkeypatch, tmp_path, capsys):
     from subtoric import cli
     from subtoric.fibers import Fiber

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import re
+from itertools import combinations
 
 import pytest
 
@@ -24,6 +25,8 @@ from subtoric.fibers import (
     table_to_csv,
     walk_tv,
     walk_vs_exact,
+    _independent_set_counts,
+    _margin_values,
     _tables_of_degree,
 )
 from subtoric.ideal import GeneratorSet, QuadGen, all_quads, block_reduce, build_generators
@@ -510,6 +513,77 @@ def test_census_frozen_rows_on_5x5_staircase():
     ]
 
 
+def _fiber_counts_by_listing(s, max_degree):
+    """Distinct (row sums, column sums, subset sum) keys per degree, read
+    off the listed tables."""
+    rows = census_by_scan(s, build_generators(s), MonomialOrder(s.shape), max_degree)
+    return [r.fiber_count for r in rows]
+
+
+def test_margin_values_match_listing_at_every_packing_base():
+    for m, n in ((2, 2), (2, 3), (3, 2)):
+        for s in _all_subsets(m, n):
+            expect = _fiber_counts_by_listing(s, 5)
+            for size in range(6):
+                got = [len(v) for v in _margin_values(s, size)]
+                assert got == expect[: size + 1], (s.to_text(), size)
+
+
+def test_margin_values_match_listing_on_lines_and_4x4_subsets():
+    sample = []
+    for m, n in ((1, 6), (6, 1)):
+        sample += [(Subset.full(m, n), 6), (Subset.from_cells(m, n, []), 6)]
+    rng = random.Random(1502)
+    while len(sample) < 10:
+        s = random_subset(rng, 4, 4, rng.random())
+        if classify(s).triangular is None:
+            sample.append((s, 4))
+    for s, d in sample:
+        got = [len(v) for v in _margin_values(s, d)]
+        assert got == _fiber_counts_by_listing(s, d), s.to_text()
+
+
+def test_margin_values_frozen_counts_past_the_listing_budget():
+    def stair(n):
+        return Subset.from_cells(
+            n, n, [(i, j) for i in range(1, n + 1) for j in range(1, n + 2 - i)]
+        )
+
+    assert [len(v) for v in _margin_values(stair(6), 5)] == [
+        1, 36, 546, 4872, 30258, 144732
+    ]
+    assert [len(v) for v in _margin_values(stair(7), 4)] == [1, 49, 980, 11172, 86310]
+    # One row: a fiber is a table, so degree d has C(d + 24, 24) of them.
+    counts = [len(v) for v in _margin_values(Subset.full(1, 25), 6)]
+    assert counts == [math.comb(d + 24, 24) for d in range(7)]
+    assert counts[6] == 593_775
+
+
+def test_independent_set_counts_match_brute_force():
+    rng = random.Random(1503)
+    for v in range(13):
+        pairs = list(combinations(range(v), 2))
+        graphs = [[], pairs]
+        graphs += [[e for e in pairs if rng.random() < p] for p in (0.2, 0.5, 0.8)]
+        for edges in graphs:
+            adjacent = [0] * v
+            for a, b in edges:
+                adjacent[a] |= 1 << b
+                adjacent[b] |= 1 << a
+            edge_set = set(edges)
+            expect = [
+                sum(
+                    not any(e in edge_set for e in combinations(sub, 2))
+                    for sub in combinations(range(v), k)
+                )
+                for k in range(6)
+            ]
+            for size in range(6):
+                assert _independent_set_counts(adjacent, size) == expect[: size + 1], (
+                    v, edges, size
+                )
+
+
 def test_census_checks_every_degree_budget_before_counting(monkeypatch):
     import subtoric.fibers as fibers_mod
 
@@ -759,6 +833,25 @@ def test_walk_step_ceiling_is_inclusive_and_checked_before_any_step(monkeypatch)
     with pytest.raises(BudgetError) as err:
         random_walk(s, start, moves, 51, seed=3)
     assert str(err.value) == "walk of 51 steps exceeds budget 50"
+
+
+def test_walk_vs_exact_refuses_the_step_count_before_enumerating(monkeypatch):
+    import subtoric.fibers as fibers_mod
+    from subtoric.tables import MAX_WALK_STEPS
+
+    def no_enumeration(*_args):
+        raise AssertionError("fiber enumerated before the step count was checked")
+
+    monkeypatch.setattr(fibers_mod, "enumerate_fiber", no_enumeration)
+    s = Subset.full(6, 6)
+    start = CellTable.from_rows([[int(i == j) for j in range(6)] for i in range(6)])
+    moves = build_generators(s)
+    with pytest.raises(BudgetError) as err:
+        walk_vs_exact(s, start, moves, MAX_WALK_STEPS + 1, seed=0)
+    assert str(err.value) == "walk of 10000001 steps exceeds budget 10000000"
+    with pytest.raises(ValueError) as err:
+        walk_vs_exact(s, start, moves, -1, seed=0)
+    assert str(err.value) == "walk length must be nonnegative, got -1"
 
 
 def test_walk_vs_exact_mixes_on_two_table_fiber():
