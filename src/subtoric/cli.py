@@ -14,6 +14,7 @@ import json
 import sys
 import time
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from subtoric.binomials import MonomialOrder, buchberger_check_keys
@@ -54,10 +55,60 @@ def _load_subset(path: str) -> Subset:
     return Subset.from_text(text)
 
 
+def _write_json(o, pad: str, out: list) -> None:
+    """Append o to out as json.dumps(o, indent=2, sort_keys=True) writes
+    it, nested at indent pad.  Dicts (with string keys), lists, tuples,
+    strings and ints are written here; anything else goes through
+    json.dumps.  The stdlib writes indented JSON with its pure-Python
+    encoder, which is several times slower."""
+    if isinstance(o, str):
+        out.append(encode_basestring_ascii(o))
+    elif type(o) is int:
+        out.append(int.__repr__(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        out.append("[\n" + inner)
+        sep = ",\n" + inner
+        first = True
+        for item in o:
+            if first:
+                first = False
+            else:
+                out.append(sep)
+            if type(item) is int:  # most leaves: table entries
+                out.append(int.__repr__(item))
+            else:
+                _write_json(item, inner, out)
+        out.append("\n" + pad + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        out.append("{\n" + inner)
+        sep = ",\n" + inner
+        first = True
+        for key, value in sorted(o.items()):
+            if first:
+                first = False
+            else:
+                out.append(sep)
+            out.append(encode_basestring_ascii(key) + ": ")
+            _write_json(value, inner, out)
+        out.append("\n" + pad + "}")
+    else:
+        out.append(json.dumps(o))
+
+
 def _emit(args, command: str, payload, text_lines: Sequence[str]) -> None:
     if args.json:
-        doc = {"command": command, "payload": payload}
-        sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        out: list[str] = []
+        _write_json({"command": command, "payload": payload}, "", out)
+        out.append("\n")
+        sys.stdout.write("".join(out))
     else:
         sys.stdout.write("\n".join(text_lines) + "\n")
 
@@ -187,7 +238,7 @@ def _cmd_fiber(args) -> int:
         _emit(args, "fiber", fiber.to_json_dict(), ())
     else:
         lines = [f"size: {fiber.size}"]
-        lines += [f"  {_table_inline(t.entries)}" for t in fiber.tables]
+        lines += [f"  {_table_inline(rows)}" for rows in fiber.table_rows()]
         _emit(args, "fiber", None, lines)
     return 0
 
@@ -207,7 +258,7 @@ def _cmd_walk(args) -> int:
     lines = [
         f"seed: {trace.seed}",
         f"steps: {trace.steps}",
-        f"distinct tables: {len(trace.visit_counts)}",
+        f"distinct tables: {len(trace.flat_counts)}",
         f"final: {_table_inline(trace.final.entries)}",
     ]
     if fiber is not None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Collection, Iterable, Optional, Sequence
 
@@ -46,18 +46,41 @@ DEFAULT_BUDGET = Budget()
 
 @dataclass(frozen=True)
 class Fiber:
+    """The tables sharing one margin key, kept as their row-major flat
+    entry tuples in ascending order.  ``tables`` builds the CellTables
+    on first read; size and the JSON form read the flat tuples."""
+
     key: Margins
-    tables: tuple[CellTable, ...]
+    flats: tuple[tuple[int, ...], ...]
+
+    @classmethod
+    def from_tables(cls, key: Margins, tables: Iterable[CellTable]) -> "Fiber":
+        """The fiber of already built tables, given in ascending flat order."""
+        tables = tuple(tables)
+        fiber = cls(key, tuple(t.flat for t in tables))
+        fiber.__dict__["tables"] = tables  # where cached_property keeps it
+        return fiber
+
+    @cached_property
+    def tables(self) -> tuple[CellTable, ...]:
+        shape = TableShape(len(self.key.row_sums), len(self.key.col_sums))
+        return tuple(_from_flat(shape, f) for f in self.flats)
 
     @property
     def size(self) -> int:
-        return len(self.tables)
+        return len(self.flats)
+
+    def table_rows(self) -> list[list[list[int]]]:
+        """Each table's rows as lists, as CellTable.to_json_dict gives
+        them, without building the CellTable."""
+        n = len(self.key.col_sums)
+        return [[list(f[c : c + n]) for c in range(0, len(f), n)] for f in self.flats]
 
     def to_json_dict(self) -> dict:
         return {
             "key": self.key.to_json_dict(),
             "size": self.size,
-            "tables": [t.to_json_dict() for t in self.tables],
+            "tables": self.table_rows(),
         }
 
 
@@ -133,7 +156,7 @@ def enumerate_fiber(
             found.append(tuple(flat))
         descending = False
     found.sort()
-    return Fiber(key, tuple(_from_flat(s.shape, f) for f in found))
+    return Fiber(key, tuple(found))
 
 
 def _from_flat(shape: TableShape, flat: Sequence[int]) -> CellTable:
@@ -207,16 +230,11 @@ def fibers_of_degree(
     m, n = s.shape.m, s.shape.n
     _check_degree_budget(s.shape, d, budget)
     s_idx = [i * n + j for i in range(m) for j in range(n) if s.mask[i][j]]
-    groups: dict[tuple, list[CellTable]] = {}
-    tables = _tables_of_degree(m, n, d)
-    for t, (flat, rows, cols) in zip(tables, _margin_parts(m, n, d)):
+    groups: dict[tuple, list[tuple[int, ...]]] = {}
+    for flat, rows, cols in _margin_parts(m, n, d):
         in_sum = sum(map(flat.__getitem__, s_idx))
-        groups.setdefault((rows, cols, in_sum), []).append(t)
-    out = []
-    for rows, cols, in_sum in sorted(groups):
-        key = Margins(rows, cols, in_sum)
-        out.append(Fiber(key, tuple(groups[(rows, cols, in_sum)])))
-    return out
+        groups.setdefault((rows, cols, in_sum), []).append(flat)
+    return [Fiber(Margins(*key), tuple(groups[key])) for key in sorted(groups)]
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +258,12 @@ def apply_move(t: CellTable, q: QuadGen, sign: int) -> Optional[CellTable]:
 _Step = tuple[tuple[int, int], tuple[int, int]]
 
 
+def _check_fits(shape: TableShape, q: QuadGen) -> None:
+    """Refuse a move whose rows or columns lie outside the shape."""
+    if q.j > shape.m or q.ell > shape.n:
+        raise ValueError(f"move {q.as_tuple} does not fit in {shape}")
+
+
 def _signed_steps(shape: TableShape, moves: Iterable[QuadGen]) -> list[tuple[_Step, _Step]]:
     """Each move as its steps at sign +1 and -1.  A step is a pair of
     flat (up, down) cell indices: it adds one to both up cells and takes
@@ -247,8 +271,7 @@ def _signed_steps(shape: TableShape, moves: Iterable[QuadGen]) -> list[tuple[_St
     n = shape.n
     signed = []
     for q in moves:
-        if q.j > shape.m or q.ell > n:
-            raise ValueError(f"move {q.as_tuple} does not fit in {shape}")
+        _check_fits(shape, q)
         diag = tuple((i - 1) * n + j - 1 for i, j in q.diagonal_cells)
         anti = tuple((i - 1) * n + j - 1 for i, j in q.antidiagonal_cells)
         signed.append(((diag, anti), (anti, diag)))
@@ -262,14 +285,16 @@ def fiber_components(
     ties broken by the smallest flat entry sequence.  The tables are
     hunted as sparse cell tuples, like generation_check's."""
     shape = TableShape(len(fiber.key.row_sums), len(fiber.key.col_sums))
-    sparse = [_sparse(t.flat) for t in fiber.tables]
-    roots = _component_roots(sparse, _steps_by_down(shape, moves))
-    buckets: dict[int, list[CellTable]] = {}
-    for root, t in zip(roots, fiber.tables):
-        buckets.setdefault(root, []).append(t)
-    comps = [tuple(ts) for ts in buckets.values()]
-    comps.sort(key=lambda c: (-len(c), c[0].flat))
-    return comps
+    roots = _component_roots(
+        list(map(_sparse, fiber.flats)), _steps_by_down(shape, moves)
+    )
+    buckets: dict[int, list[int]] = {}
+    for pos, root in enumerate(roots):
+        buckets.setdefault(root, []).append(pos)
+    # A bucket's first position holds its smallest flat entry sequence.
+    order = sorted(buckets.values(), key=lambda c: (-len(c), fiber.flats[c[0]]))
+    tables = fiber.tables
+    return [tuple(tables[pos] for pos in c) for c in order]
 
 
 def _sparse(flat: Sequence[int]) -> tuple[int, ...]:
@@ -378,8 +403,10 @@ def generation_check(
                     steps = _steps_by_down(s.shape, gens)
                 if any(_component_roots(fiber, steps)):
                     key = Margins(rows, cols, in_sum)
-                    witness = tuple(_from_sparse(s.shape, t) for t in fiber)
-                    return GenerationCheck(False, max_degree, Fiber(key, witness))
+                    witness = (_from_sparse(s.shape, t) for t in fiber)
+                    return GenerationCheck(
+                        False, max_degree, Fiber.from_tables(key, witness)
+                    )
     return GenerationCheck(True, max_degree, None)
 
 
@@ -516,8 +543,13 @@ def initial_ideal_census(
         _check_degree_budget(s.shape, d, budget)
     if order.shape != s.shape:
         raise ShapeMismatchError(f"subset on {s.shape}, order on {order.shape}")
-    adjacent = [0] * (s.shape.m * s.shape.n)
-    for (_, (a, b)), _ in _signed_steps(s.shape, gens):
+    n = s.shape.n
+    adjacent = [0] * (s.shape.m * n)
+    for q in gens:
+        _check_fits(s.shape, q)
+        # The antidiagonal cells (i, ell) and (j, k), as flat indices.
+        a = (q.i - 1) * n + q.ell - 1
+        b = (q.j - 1) * n + q.k - 1
         adjacent[a] |= 1 << b
         adjacent[b] |= 1 << a
     supports = _independent_set_counts(adjacent, max_degree)
@@ -538,19 +570,28 @@ def initial_ideal_census(
 @dataclass(frozen=True, eq=True)
 class WalkTrace:
     """A walk's visits per table (the start included, so they total
-    steps + 1), its final table, and how many proposals it applied."""
+    steps + 1), its final table, and how many proposals it applied.
+
+    The visits are kept as ``flat_counts``, keyed by each table's
+    row-major flat entry tuple in order of first visit; ``visit_counts``
+    builds the same dict keyed by CellTables on first read."""
 
     seed: int
     steps: int
-    visit_counts: dict
+    flat_counts: dict
     final: CellTable
     accepted: int
+
+    @cached_property
+    def visit_counts(self) -> dict:
+        shape = self.final.shape
+        return {_from_flat(shape, f): c for f, c in self.flat_counts.items()}
 
     def to_json_dict(self) -> dict:
         return {
             "seed": self.seed,
             "steps": self.steps,
-            "distinct_tables": len(self.visit_counts),
+            "distinct_tables": len(self.flat_counts),
             "final": self.final.to_json_dict(),
         }
 
@@ -586,7 +627,7 @@ def random_walk(
         if sum(inside[c] for c in up) != sum(inside[c] for c in down):
             raise ValueError(f"move {q.as_tuple} left the fiber")
     if not pool:
-        return WalkTrace(seed, steps, {start: steps + 1}, start, 0)
+        return WalkTrace(seed, steps, {start.flat: steps + 1}, start, 0)
     getrandbits = random.Random(seed).getrandbits
     count = len(pool)
     bits = count.bit_length()
@@ -617,8 +658,7 @@ def random_walk(
         else:
             run += 1
     counts[state] = counts.get(state, 0) + run
-    visits = {_from_flat(s.shape, flat): c for flat, c in counts.items()}
-    return WalkTrace(seed, steps, visits, _from_flat(s.shape, state), accepted)
+    return WalkTrace(seed, steps, counts, _from_flat(s.shape, state), accepted)
 
 
 def walk_tv(fiber: Fiber, trace: WalkTrace) -> float:
@@ -626,10 +666,13 @@ def walk_tv(fiber: Fiber, trace: WalkTrace) -> float:
     uniform law on the fiber."""
     total = trace.steps + 1
     target = 1.0 / fiber.size
-    return 0.5 * sum(
-        abs(trace.visit_counts.get(t, 0) / total - target)
-        for t in fiber.tables
-    )
+    counts = trace.flat_counts
+    # Added left to right, as sum() added floats before Python 3.12
+    # compensated its float sums, so every version gives the same float.
+    tv = 0.0
+    for f in fiber.flats:
+        tv += abs(counts.get(f, 0) / total - target)
+    return 0.5 * tv
 
 
 def walk_vs_exact(

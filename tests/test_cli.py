@@ -796,3 +796,154 @@ def test_main_builds_one_parser_and_keeps_usage_errors(tmp_path, capsys):
         assert "usage: subtoric verify [-h] [--json] [--degree DEGREE] subset" in err
         assert "error: the following arguments are required: subset" in err
     assert cli.build_parser() is cli.build_parser()
+
+
+# sha256 over stdout and exit code of classify, classify --oracle, gens,
+# check-gb, verify --degree 3 and census --degree 3, each as text and
+# as --json, on the seeded random subsets of SWEEP_SEED, as the stdlib's
+# json.dumps(indent=2, sort_keys=True) wrote them.
+SWEEP_SEED = 1601
+SWEEP_DIGEST = "56f07b77f4c42de366e9748d7a51fcf47a332ee127ec1546e6f89e0f1ff8302f"
+SWEEP_COMMANDS = (
+    ("classify",),
+    ("classify", "--oracle"),
+    ("gens",),
+    ("check-gb",),
+    ("verify", "--degree", "3"),
+    ("census", "--degree", "3"),
+)
+
+
+def test_command_sweep_stdout_golden(tmp_path, capsys):
+    import random
+
+    from subtoric import cli
+    from util import random_subset
+
+    rng = random.Random(SWEEP_SEED)
+    digest = hashlib.sha256()
+    codes = []
+    path = tmp_path / "subset.txt"
+    for _ in range(40):
+        m, n = rng.randint(2, 4), rng.randint(2, 4)
+        path.write_text(random_subset(rng, m, n, rng.choice((0.3, 0.5, 0.7))).to_text())
+        for command in SWEEP_COMMANDS:
+            for extra in ((), ("--json",)):
+                code = cli.main([*command, *extra, str(path)])
+                codes.append((command[0], code))
+                digest.update(f"{code}\n".encode())
+                digest.update(capsys.readouterr().out.encode())
+    assert ("check-gb", 1) in codes
+    assert digest.hexdigest() == SWEEP_DIGEST
+
+
+# sha256 over the repr of every Fiber.tables and of every
+# WalkTrace.visit_counts (as its item list, so order counts), final table
+# and acceptance count on the WALK_STARTS, as the fibers and walks that
+# held a CellTable per table returned them.
+OBJECTS_DIGEST = "6e9b8f3da3e2ea7c14ead1606122161bbbf47d9efc31f995e3160f18c5315ab3"
+
+
+def test_walk_starts_objects_golden():
+    from subtoric.fibers import enumerate_fiber, random_walk, table_from_csv
+    from subtoric.ideal import build_generators
+    from subtoric.tables import Subset, margins
+
+    digest = hashlib.sha256()
+    for label, (grid, csv) in sorted(WALK_STARTS.items()):
+        s = Subset.from_text(grid)
+        start = table_from_csv(csv)
+        fiber = enumerate_fiber(s, margins(s, start))
+        digest.update(repr(fiber.tables).encode())
+        moves = build_generators(s)
+        for seed in (0, 1, 1401):
+            trace = random_walk(s, start, moves, 4000, seed)
+            visits = list(trace.visit_counts.items())
+            digest.update(repr((visits, trace.final, trace.accepted)).encode())
+    assert digest.hexdigest() == OBJECTS_DIGEST
+
+
+def test_sample_commands_build_no_table_objects(monkeypatch, tmp_path, capsys):
+    # walk and walk --tv build only the start and the final CellTable, and
+    # fiber --json builds none: fibers and visits stay flat up to stdout.
+    import subtoric.fibers as fibers_mod
+    from subtoric import cli
+    from subtoric.fibers import table_from_csv
+    from subtoric.tables import CellTable, Subset, margins
+
+    keys = {
+        label: json.dumps(margins(Subset.from_text(grid), table_from_csv(csv)).to_json_dict())
+        for label, (grid, csv) in WALK_STARTS.items()
+    }
+    built, from_flat = [], []
+    original_post_init = CellTable.__post_init__
+    original_from_flat = fibers_mod._from_flat
+
+    def counted_post_init(self):
+        built.append(self)
+        original_post_init(self)
+
+    def counted_from_flat(*args):
+        from_flat.append(args)
+        return original_from_flat(*args)
+
+    monkeypatch.setattr(CellTable, "__post_init__", counted_post_init)
+    monkeypatch.setattr(fibers_mod, "_from_flat", counted_from_flat)
+    for label, (grid, csv) in sorted(WALK_STARTS.items()):
+        path = write_subset(tmp_path, grid, f"{label}.txt")
+        start = write_subset(tmp_path, csv, f"{label}.csv")
+        walk = ["walk", "--start", start, "--steps", "4000", "--seed", "1", path]
+        for extra in ((), ("--tv",), ("--json",), ("--tv", "--json")):
+            built.clear()
+            from_flat.clear()
+            assert cli.main(walk + list(extra)) == 0
+            assert len(built) <= 2 and len(from_flat) <= 1
+        capsys.readouterr()
+        built.clear()
+        from_flat.clear()
+        assert cli.main(["fiber", "--key", keys[label], "--json", path]) == 0
+        assert built == [] and from_flat == []
+        assert json.loads(capsys.readouterr().out)["payload"]["size"] > 1
+
+
+# Quotes, backslashes, control characters and non-ASCII text, astral too.
+_JSON_TEXT = (
+    '"', "\\", "/", "\b", "\f", "\n", "\r", "\t", "\x00", "\x1f", "\x7f",
+    "a", "Z", " ", "\u00e9", "\u00df", "\u4e2d", "\u2028", "\U0001f600",
+)
+
+
+def _random_json_doc(rng, depth):
+    kind = rng.randrange(6 if depth else 4)
+    if kind == 0:
+        return rng.choice(
+            (0, 1, -1, 2**70, -(2**70), rng.randint(-10**6, 10**6), True, False, None)
+        )
+    if kind == 1:
+        return rng.choice((0.0, -0.0, 1e-7, 1e22, float("inf"), rng.random()))
+    if kind == 2:
+        return "".join(rng.choice(_JSON_TEXT) for _ in range(rng.randrange(6)))
+    if kind == 3:
+        return rng.choice(([], (), {}))
+    if kind == 4:
+        items = [_random_json_doc(rng, depth - 1) for _ in range(rng.randrange(5))]
+        return items if rng.random() < 0.5 else tuple(items)
+    return {
+        "".join(rng.choice(_JSON_TEXT) for _ in range(rng.randrange(4))):
+        _random_json_doc(rng, depth - 1)
+        for _ in range(rng.randrange(5))
+    }
+
+
+def test_json_writer_matches_stdlib_indent_encoder():
+    import random
+
+    from subtoric.cli import _write_json
+
+    rng = random.Random(1602)
+    docs = [[True, False, 1, None], {"tv": 0.123456789, "b": True, "a": [()]}]
+    docs += [_random_json_doc(rng, 4) for _ in range(400)]
+    for doc in docs:
+        out: list[str] = []
+        _write_json(doc, "", out)
+        assert "".join(out) == json.dumps(doc, indent=2, sort_keys=True)

@@ -257,6 +257,16 @@ def test_components_match_apply_oracle_on_sparse_tables():
     assert min(seen.values()) >= 5, seen
 
 
+def test_walk_tv_is_the_same_float_on_every_python_version():
+    # Python 3.12 compensates sum() over floats; walk_tv adds left to
+    # right, so `walk --tv --json` prints the same digits on 3.10-3.13.
+    s = Subset.full(4, 4)
+    start = CellTable.from_rows([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]])
+    moves = build_generators(s)
+    tvs = [walk_vs_exact(s, start, moves, 4000, seed) for seed in (0, 1, 1401)]
+    assert tvs == [0.20958122538330937, 0.16932835756578088, 0.17281455498194412]
+
+
 def test_moves_must_fit_the_shape():
     # (1,2,1,3) needs a third column; a flat index would land in row 2.
     s = Subset.full(2, 2)
@@ -607,6 +617,16 @@ def test_census_rejects_an_order_on_another_shape():
                 initial_ideal_census(
                     s, build_generators(s), MonomialOrder(shape), 2
                 )
+
+
+def test_census_rejects_a_move_that_does_not_fit():
+    # (1,2,1,3) needs a third column and (1,3,1,2) a third row; read as
+    # flat indices, their cells would land on other cells of the 2x2 grid.
+    s = Subset.full(2, 2)
+    order = MonomialOrder(s.shape)
+    for q in (QuadGen(1, 2, 1, 3), QuadGen(1, 3, 1, 2)):
+        with pytest.raises(ValueError, match=r"move \(.*\) does not fit in 2x2"):
+            initial_ideal_census(s, (q,), order, 2)
 
 
 def test_census_rejects_negative_degree():

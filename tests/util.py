@@ -250,7 +250,8 @@ def random_walk_by_apply(
                 current = moved
                 accepted += 1
         counts[current] = counts.get(current, 0) + 1
-    return WalkTrace(seed, steps, counts, current, accepted)
+    flat_counts = {t.flat: c for t, c in counts.items()}
+    return WalkTrace(seed, steps, flat_counts, current, accepted)
 
 
 def fiber_components_by_apply(
@@ -413,5 +414,5 @@ def neither_by_local_scan(s: Subset) -> Optional[Fiber]:
                     entries[i][j] = e
             tables.append(CellTable.from_rows(entries))
         tables.sort(key=lambda t: t.flat)
-        return Fiber(margins(s, tables[0]), tuple(tables))
+        return Fiber.from_tables(margins(s, tables[0]), tables)
     return None
