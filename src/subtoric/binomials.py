@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
+from subtoric import tables
 from subtoric.tables import (
-    MAX_S_PAIRS,
     BudgetError,
     CellTable,
     PermPair,
@@ -303,8 +303,10 @@ def buchberger_check_keys(gens: Sequence[Pair], order: MonomialOrder) -> Buchber
         for cells in combinations(sup, r)
     )
     checked = sum((-1) ** (len(c) + 1) * k * (k - 1) // 2 for c, k in shared.items())
-    if checked > MAX_S_PAIRS:
-        raise BudgetError(f"{checked} S-pairs on {order.shape} exceed budget {MAX_S_PAIRS}")
+    if checked > tables.MAX_S_PAIRS:
+        raise BudgetError(
+            f"{checked} S-pairs on {order.shape} exceed budget {tables.MAX_S_PAIRS}"
+        )
     by_cell: defaultdict[int, list[int]] = defaultdict(list)
     for idx, sup in enumerate(supports):
         for p in sup:

@@ -31,6 +31,7 @@ from subtoric.tables import (
     BudgetError,
     Margins,
     Subset,
+    _load_json,
     classify,
     classify_oracle,
     margins,
@@ -232,7 +233,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_fiber(args) -> int:
     s = _load_subset(args.subset)
-    key = Margins.from_json_dict(json.loads(args.key))
+    key = Margins.from_json_dict(_load_json(args.key))
     fiber = enumerate_fiber(s, key)
     if args.json:
         _emit(args, "fiber", fiber.to_json_dict(), ())

@@ -4,8 +4,10 @@ A fiber is the set of all nonnegative integer tables sharing one margin
 value (row sums, column sums, subset sum).  Differences of two tables in
 one fiber are exactly the binomials the ideal must explain, so bounded
 fiber searches give finite, exact oracles for generation questions.
-Everything here enumerates honestly within hard budgets; nothing is
-sampled where exactness is claimed.
+Everything here enumerates honestly within the hard ceilings of
+subtoric.tables (MAX_DEGREE, MAX_FIBER_SIZE, MAX_TABLES_PER_DEGREE,
+MAX_WALK_STEPS), each read there at its check; past one, the work raises
+BudgetError.  Nothing is sampled where exactness is claimed.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Collection, Iterable, Optional, Sequence
 
+from subtoric import tables
 from subtoric.binomials import MonomialOrder
-from subtoric.ideal import GeneratorSet, QuadGen
+from subtoric.ideal import GeneratorSet, QuadGen, _check_fits
 from subtoric.tables import (
-    MAX_WALK_STEPS,
     BudgetError,
     CellTable,
     Margins,
@@ -32,19 +34,6 @@ from subtoric.tables import (
 
 
 @dataclass(frozen=True)
-class Budget:
-    """Hard ceilings for exhaustive work.  Exceeding one raises, never
-    truncates."""
-
-    max_degree: int = 6
-    max_fiber_size: int = 200_000
-    max_tables_per_degree: int = 200_000
-
-
-DEFAULT_BUDGET = Budget()
-
-
-@dataclass(frozen=True)
 class Fiber:
     """The tables sharing one margin key, kept as their row-major flat
     entry tuples in ascending order.  ``tables`` builds the CellTables
@@ -52,14 +41,6 @@ class Fiber:
 
     key: Margins
     flats: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def from_tables(cls, key: Margins, tables: Iterable[CellTable]) -> "Fiber":
-        """The fiber of already built tables, given in ascending flat order."""
-        tables = tuple(tables)
-        fiber = cls(key, tuple(t.flat for t in tables))
-        fiber.__dict__["tables"] = tables  # where cached_property keeps it
-        return fiber
 
     @cached_property
     def tables(self) -> tuple[CellTable, ...]:
@@ -84,9 +65,7 @@ class Fiber:
         }
 
 
-def enumerate_fiber(
-    s: Subset, key: Margins, budget: Budget = DEFAULT_BUDGET
-) -> Fiber:
+def enumerate_fiber(s: Subset, key: Margins) -> Fiber:
     """All tables with the given margins, by row-major backtracking.
 
     The last cell of each row is forced by the remaining row sum; other
@@ -95,10 +74,11 @@ def enumerate_fiber(
     m, n = s.shape.m, s.shape.n
     if len(key.row_sums) != m or len(key.col_sums) != n:
         raise ShapeMismatchError(f"margin key does not fit {s.shape}")
-    if key.degree > budget.max_degree:
+    if key.degree > tables.MAX_DEGREE:
         raise BudgetError(
-            f"fiber degree {key.degree} exceeds budget {budget.max_degree}"
+            f"fiber degree {key.degree} exceeds budget {tables.MAX_DEGREE}"
         )
+    max_size = tables.MAX_FIBER_SIZE
 
     size = m * n
     inside = [int(hit) for row in s.mask for hit in row]
@@ -149,10 +129,8 @@ def enumerate_fiber(
             pos, descending = pos + 1, True
             continue
         if not any(col_rem) and not any(pool_rem):
-            if len(found) >= budget.max_fiber_size:
-                raise BudgetError(
-                    f"fiber exceeds budget size {budget.max_fiber_size}"
-                )
+            if len(found) >= max_size:
+                raise BudgetError(f"fiber exceeds budget size {max_size}")
             found.append(tuple(flat))
         descending = False
     found.sort()
@@ -212,23 +190,23 @@ def _margin_parts(
     return tuple(parts)
 
 
-def _check_degree_budget(shape: TableShape, d: int, budget: Budget) -> None:
-    if d > budget.max_degree:
-        raise BudgetError(f"degree {d} exceeds budget {budget.max_degree}")
+def _check_degree_budget(shape: TableShape, d: int) -> None:
+    """Refuse degree d past MAX_DEGREE, then a shape with more than
+    MAX_TABLES_PER_DEGREE tables of degree d."""
+    if d > tables.MAX_DEGREE:
+        raise BudgetError(f"degree {d} exceeds budget {tables.MAX_DEGREE}")
     count = math.comb(d + shape.m * shape.n - 1, shape.m * shape.n - 1)
-    if count > budget.max_tables_per_degree:
+    if count > tables.MAX_TABLES_PER_DEGREE:
         raise BudgetError(
             f"{count} degree-{d} tables on {shape} exceed budget "
-            f"{budget.max_tables_per_degree}"
+            f"{tables.MAX_TABLES_PER_DEGREE}"
         )
 
 
-def fibers_of_degree(
-    s: Subset, d: int, budget: Budget = DEFAULT_BUDGET
-) -> list[Fiber]:
+def fibers_of_degree(s: Subset, d: int) -> list[Fiber]:
     """Partition all degree-d tables into fibers, sorted by margin key."""
     m, n = s.shape.m, s.shape.n
-    _check_degree_budget(s.shape, d, budget)
+    _check_degree_budget(s.shape, d)
     s_idx = [i * n + j for i in range(m) for j in range(n) if s.mask[i][j]]
     groups: dict[tuple, list[tuple[int, ...]]] = {}
     for flat, rows, cols in _margin_parts(m, n, d):
@@ -245,6 +223,7 @@ def apply_move(t: CellTable, q: QuadGen, sign: int) -> Optional[CellTable]:
     """The moved table, or None when an entry would go negative."""
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
+    _check_fits(t.shape, q)
     rows = [list(r) for r in t.entries]
     for i, j in q.diagonal_cells:
         rows[i - 1][j - 1] += sign
@@ -256,12 +235,6 @@ def apply_move(t: CellTable, q: QuadGen, sign: int) -> Optional[CellTable]:
 
 
 _Step = tuple[tuple[int, int], tuple[int, int]]
-
-
-def _check_fits(shape: TableShape, q: QuadGen) -> None:
-    """Refuse a move whose rows or columns lie outside the shape."""
-    if q.j > shape.m or q.ell > shape.n:
-        raise ValueError(f"move {q.as_tuple} does not fit in {shape}")
 
 
 def _signed_steps(shape: TableShape, moves: Iterable[QuadGen]) -> list[tuple[_Step, _Step]]:
@@ -301,13 +274,6 @@ def _sparse(flat: Sequence[int]) -> tuple[int, ...]:
     """A table as its sparse cell tuple: the ascending flat indices of
     its cells, each repeated as often as its entry."""
     return tuple(c for c, e in enumerate(flat) for _ in range(e))
-
-
-def _from_sparse(shape: TableShape, cells: Iterable[int]) -> CellTable:
-    flat = [0] * (shape.m * shape.n)
-    for c in cells:
-        flat[c] += 1
-    return _from_flat(shape, flat)
 
 
 def _steps_by_down(shape: TableShape, moves: Iterable[QuadGen]) -> dict[tuple[int, int], tuple[int, int]]:
@@ -374,7 +340,6 @@ def generation_check(
     s: Subset,
     gens: GeneratorSet,
     max_degree: int = 4,
-    budget: Budget = DEFAULT_BUDGET,
 ) -> GenerationCheck:
     """Are all fibers of degree <= max_degree connected under the moves?
 
@@ -384,13 +349,13 @@ def generation_check(
     fibers are split out of the shared (row sums, column sums) classes
     by that sum.  The moves are keyed by their down cells at the first
     fiber of more than one table, and each table looks up only the
-    pairs of distinct cells in its support.  Only the witness is built
-    as CellTables.
+    pairs of distinct cells in its support.  No CellTable is built: the
+    witness keeps its tables as flat tuples, like enumerate_fiber's.
     """
     inside = [int(hit) for row in s.mask for hit in row]
     steps = None
     for d in range(max_degree + 1):
-        _check_degree_budget(s.shape, d, budget)
+        _check_degree_budget(s.shape, d)
         for rows, cols, tables in _margin_classes(s.shape.m, s.shape.n, d):
             fibers: dict[int, list[tuple[int, ...]]] = {}
             for t in tables:
@@ -402,11 +367,12 @@ def generation_check(
                 if steps is None:
                     steps = _steps_by_down(s.shape, gens)
                 if any(_component_roots(fiber, steps)):
-                    key = Margins(rows, cols, in_sum)
-                    witness = (_from_sparse(s.shape, t) for t in fiber)
-                    return GenerationCheck(
-                        False, max_degree, Fiber.from_tables(key, witness)
-                    )
+                    # Each cell's entry is its count in the sparse tuple,
+                    # and the class keeps its tables in ascending flat order.
+                    cells = range(len(inside))
+                    flats = tuple(tuple(map(t.count, cells)) for t in fiber)
+                    witness = Fiber(Margins(rows, cols, in_sum), flats)
+                    return GenerationCheck(False, max_degree, witness)
     return GenerationCheck(True, max_degree, None)
 
 
@@ -507,7 +473,6 @@ def initial_ideal_census(
     gens: GeneratorSet,
     order: MonomialOrder,
     max_degree: int = 4,
-    budget: Budget = DEFAULT_BUDGET,
 ) -> list[CensusRow]:
     """Standard monomials of the leading terms against fibers, for every
     degree 0..max_degree, counted without listing any table.
@@ -534,13 +499,14 @@ def initial_ideal_census(
     the bottom row first and each row from the left, and in a move's
     lower row the antidiagonal cell is the left one, so it leads.
 
-    The table budget still applies: every degree is checked before any
-    counting, and the first one over budget raises BudgetError.
+    The listing ceilings still apply: every degree is checked against
+    MAX_DEGREE and MAX_TABLES_PER_DEGREE before any counting, and the
+    first one over raises BudgetError.
     """
     if max_degree < 0:
         raise ValueError(f"degree bound must be nonnegative, got {max_degree}")
     for d in range(max_degree + 1):
-        _check_degree_budget(s.shape, d, budget)
+        _check_degree_budget(s.shape, d)
     if order.shape != s.shape:
         raise ShapeMismatchError(f"subset on {s.shape}, order on {order.shape}")
     n = s.shape.n
@@ -600,8 +566,10 @@ def check_walk_steps(steps: int) -> None:
     """Refuse a negative walk length, then one past MAX_WALK_STEPS."""
     if steps < 0:
         raise ValueError(f"walk length must be nonnegative, got {steps}")
-    if steps > MAX_WALK_STEPS:
-        raise BudgetError(f"walk of {steps} steps exceeds budget {MAX_WALK_STEPS}")
+    if steps > tables.MAX_WALK_STEPS:
+        raise BudgetError(
+            f"walk of {steps} steps exceeds budget {tables.MAX_WALK_STEPS}"
+        )
 
 
 def random_walk(
@@ -681,13 +649,12 @@ def walk_vs_exact(
     moves: Collection[QuadGen],
     steps: int,
     seed: int,
-    budget: Budget = DEFAULT_BUDGET,
 ) -> float:
     """Total-variation distance between the walk's empirical law and the
     uniform law on the start table's fiber, enumerated once the step
     count passes."""
     check_walk_steps(steps)
-    fiber = enumerate_fiber(s, margins(s, start), budget)
+    fiber = enumerate_fiber(s, margins(s, start))
     return walk_tv(fiber, random_walk(s, start, moves, steps, seed))
 
 

@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from subtoric import tables
 from subtoric.binomials import Binomial, MonomialOrder, Pair, orient
 from subtoric.tables import (
-    MAX_QUADS,
     BlockWitness,
     BudgetError,
     CellTable,
@@ -56,8 +56,7 @@ class QuadGen:
 
     def expand(self, shape: TableShape) -> Binomial:
         """The move as a binomial: antidiagonal product minus diagonal."""
-        if self.j > shape.m or self.ell > shape.n:
-            raise ValueError(f"{self.as_tuple} does not fit in {shape}")
+        _check_fits(shape, self)
         sides = []
         for cells in (self.antidiagonal_cells, self.diagonal_cells):
             # Rows left at zero share one tuple.
@@ -66,6 +65,12 @@ class QuadGen:
                 rows[i - 1] = rows[i - 1][: j - 1] + (1,) + rows[i - 1][j:]
             sides.append(CellTable(shape, tuple(rows)))
         return Binomial(*sides)
+
+
+def _check_fits(shape: TableShape, q: QuadGen) -> None:
+    """Refuse a move whose rows or columns lie outside the shape."""
+    if q.j > shape.m or q.ell > shape.n:
+        raise ValueError(f"move {q.as_tuple} does not fit in {shape}")
 
 
 def move_keys(moves: Iterable[QuadGen], order: MonomialOrder) -> list[Pair]:
@@ -78,8 +83,10 @@ def move_keys(moves: Iterable[QuadGen], order: MonomialOrder) -> list[Pair]:
 def _check_quad_budget(shape: TableShape) -> None:
     """Refuse a shape with more than MAX_QUADS candidate moves."""
     count = shape.m * (shape.m - 1) * shape.n * (shape.n - 1) // 4
-    if count > MAX_QUADS:
-        raise BudgetError(f"{count} candidate moves on {shape} exceed budget {MAX_QUADS}")
+    if count > tables.MAX_QUADS:
+        raise BudgetError(
+            f"{count} candidate moves on {shape} exceed budget {tables.MAX_QUADS}"
+        )
 
 
 def all_quads(shape: TableShape) -> list[QuadGen]:
@@ -145,6 +152,7 @@ def minor_excluded(s: Subset, q: QuadGen) -> bool:
     """The staircase exclusion rule: the quadruple's 2x2 submatrix meets
     the subset in exactly the low corner, or in everything except the
     high corner."""
+    _check_fits(s.shape, q)
     cells = {
         (q.i, q.k): (q.i, q.k) in s,
         (q.i, q.ell): (q.i, q.ell) in s,

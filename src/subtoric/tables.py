@@ -24,9 +24,20 @@ class ShapeMismatchError(ValueError):
 
 
 class BudgetError(RuntimeError):
-    """An exhaustive computation would exceed its configured budget."""
+    """An exhaustive computation would pass one of the ceilings below."""
 
 
+# Hard ceilings on exhaustive work.  Each check reads its ceiling here, as
+# tables.NAME, so lowering one constant lowers it for every caller.  Past
+# a ceiling the work raises BudgetError (exit 3 on the CLI), never
+# truncates; MAX_JSON_CELLS alone is bad input (exit 2).
+#
+# The highest degree any fiber, listing, census or verification may reach.
+MAX_DEGREE = 6
+# The most tables one enumerated fiber may hold.
+MAX_FIBER_SIZE = 200_000
+# The most tables, C(d + mn - 1, mn - 1), one degree may have on a shape.
+MAX_TABLES_PER_DEGREE = 200_000
 # The most cells a JSON subset may name; its mask is allocated cell by cell.
 MAX_JSON_CELLS = 10_000
 # The most candidate moves, C(m, 2) * C(n, 2), a shape may build one by one.
@@ -54,6 +65,15 @@ class TableShape:
 
     def __str__(self) -> str:
         return f"{self.m}x{self.n}"
+
+
+def _load_json(text: str | bytes):
+    """json.loads, with nesting past the recursion limit refused as bad
+    input; the decoder raises RecursionError there, not ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
 
 
 def _check_same_shape(a: TableShape, b: TableShape) -> None:
@@ -180,7 +200,7 @@ class Subset:
         strings, floats and booleans are not integers here.  A subset is
         a set of cells, so a cell listed twice counts once."""
         if isinstance(data, (str, bytes)):
-            data = json.loads(data)
+            data = _load_json(data)
         try:
             m, n, cells = data["m"], data["n"], [tuple(c) for c in data["cells"]]
         except (KeyError, TypeError) as exc:

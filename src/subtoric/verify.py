@@ -14,11 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from subtoric import tables
 from subtoric.binomials import BuchbergerReport, MonomialOrder, buchberger_check_keys
 from subtoric.fibers import (
-    Budget,
     CensusRow,
-    DEFAULT_BUDGET,
     Fiber,
     _check_degree_budget,
     generation_check,
@@ -107,7 +106,7 @@ def _same_fibers(a: Subset, b: Subset) -> bool:
 
 
 def _certify_staircase(
-    s: Subset, gset: GeneratorSet, max_degree: int, budget: Budget
+    s: Subset, gset: GeneratorSet, max_degree: int
 ) -> tuple[BuchbergerReport, list[CensusRow]]:
     """Balanced census, squarefree antidiagonal leading terms, GB pass.
     The pattern must already sit in its staircase corner, and gset must
@@ -117,7 +116,7 @@ def _certify_staircase(
     order = MonomialOrder(s.shape)
     # The census checks every degree's table budget first, so a refusal
     # comes before any move is keyed or any S-pair reduced.
-    census = initial_ideal_census(s, gset, order, max_degree, budget)
+    census = initial_ideal_census(s, gset, order, max_degree)
     bad = [r for r in census if not r.balanced]
     if bad:
         raise VerificationError(f"census unbalanced on staircase: {bad[0]}")
@@ -133,9 +132,7 @@ def _certify_staircase(
     return gb, census
 
 
-def verify_subset(
-    s: Subset, max_degree: int = 4, budget: Budget = DEFAULT_BUDGET
-) -> VerificationReport:
+def verify_subset(s: Subset, max_degree: int = 4) -> VerificationReport:
     """Classify, then certify the one staircase the classification names:
     the canonical form if triangular, else the block reduction, once it
     is shown to keep the generators and, by its 2x2 contrasts (see
@@ -148,9 +145,9 @@ def verify_subset(
     """
     if max_degree < 0:
         raise ValueError(f"degree bound must be nonnegative, got {max_degree}")
-    if max_degree > budget.max_degree:
+    if max_degree > tables.MAX_DEGREE:
         raise BudgetError(
-            f"degree bound {max_degree} exceeds budget {budget.max_degree}"
+            f"degree bound {max_degree} exceeds budget {tables.MAX_DEGREE}"
         )
     cls = classify(s)
     target = gset = gb = census = block = witness = None
@@ -159,7 +156,7 @@ def verify_subset(
         # classified subset meets them before any move is built.
         _check_quad_budget(s.shape)
         for d in range(max_degree + 1):
-            _check_degree_budget(s.shape, d, budget)
+            _check_degree_budget(s.shape, d)
 
     if cls.triangular is not None:
         target = s.permuted(cls.triangular)
@@ -186,9 +183,9 @@ def verify_subset(
         block = BlockReduction(reduced, True, True)
 
     if target is not None:
-        gb, census = _certify_staircase(target, gset, max_degree, budget)
+        gb, census = _certify_staircase(target, gset, max_degree)
     else:
-        witness = generation_check(s, build_generators(s), max_degree, budget).witness
+        witness = generation_check(s, build_generators(s), max_degree).witness
 
     return VerificationReport(
         classification=cls,

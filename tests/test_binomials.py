@@ -17,6 +17,7 @@ from subtoric.binomials import (
     s_polynomial,
 )
 import subtoric.binomials as binomials_mod
+import subtoric.tables as tables_mod
 from subtoric.ideal import build_generators
 from subtoric.tables import (
     MAX_S_PAIRS,
@@ -447,13 +448,13 @@ def test_s_pair_ceiling_is_inclusive_and_refuses_before_any_reduction(monkeypatc
     report = buchberger_check(gens, order)
     pairs = report.checked_pairs
     assert report.passed and pairs + report.skipped_coprime == 36 * 35 // 2
-    monkeypatch.setattr(binomials_mod, "MAX_S_PAIRS", pairs)
+    monkeypatch.setattr(tables_mod, "MAX_S_PAIRS", pairs)
     assert buchberger_check(gens, order) == report
 
     def no_reduction(*_args):
         raise AssertionError("reduced an S-pair past the ceiling")
 
-    monkeypatch.setattr(binomials_mod, "MAX_S_PAIRS", pairs - 1)
+    monkeypatch.setattr(tables_mod, "MAX_S_PAIRS", pairs - 1)
     monkeypatch.setattr(binomials_mod._Divider, "reduce", no_reduction)
     with pytest.raises(
         BudgetError, match=f"^{pairs} S-pairs on 4x4 exceed budget {pairs - 1}$"

@@ -715,6 +715,7 @@ def test_walk_beyond_the_step_ceiling_exits_3_before_any_step(tmp_path, capsys, 
 def test_walk_tv_over_budget_fiber_exits_3_before_any_step(tmp_path, capsys, monkeypatch):
     from subtoric import cli
     import subtoric.fibers as fibers_mod
+    import subtoric.tables as tables_mod
 
     class NoDraws:
         def Random(self, *_args):
@@ -724,12 +725,12 @@ def test_walk_tv_over_budget_fiber_exits_3_before_any_step(tmp_path, capsys, mon
     path = write_subset(tmp_path, "11\n11\n")
     deep = write_subset(tmp_path, "4,0\n0,3\n", "deep.csv")
     wide = write_subset(tmp_path, "1,0\n0,1\n", "wide.csv")
-    for start, message, budget in (
-        (deep, "fiber degree 7 exceeds budget 6", fibers_mod.DEFAULT_BUDGET),
+    for start, message, max_fiber_size in (
+        (deep, "fiber degree 7 exceeds budget 6", tables_mod.MAX_FIBER_SIZE),
         # The two-table fiber only goes over a one-table budget.
-        (wide, "fiber exceeds budget size 1", fibers_mod.Budget(max_fiber_size=1)),
+        (wide, "fiber exceeds budget size 1", 1),
     ):
-        monkeypatch.setattr(fibers_mod.enumerate_fiber, "__defaults__", (budget,))
+        monkeypatch.setattr(tables_mod, "MAX_FIBER_SIZE", max_fiber_size)
         for extra in (("--tv",), ("--tv", "--json")):
             argv = ["walk", "--start", start, "--steps", "2000000", *extra, path]
             assert cli.main(argv) == 3, (message, extra)

@@ -10,9 +10,8 @@ from itertools import combinations
 import pytest
 
 from subtoric.binomials import MonomialOrder, buchberger_check, normal_form, orient, Binomial
+import subtoric.tables as tables_mod
 from subtoric.fibers import (
-    Budget,
-    DEFAULT_BUDGET,
     Fiber,
     apply_move,
     enumerate_fiber,
@@ -121,22 +120,16 @@ def _all_tables(m, n, d):
     return out
 
 
-def test_enumerate_rejects_oversized_degree():
+def test_enumerate_rejects_oversized_degree(monkeypatch):
+    monkeypatch.setattr(tables_mod, "MAX_DEGREE", 6)
     with pytest.raises(BudgetError):
-        enumerate_fiber(
-            Subset.full(2, 2),
-            key((5, 5), (5, 5), 10),
-            Budget(max_degree=6),
-        )
+        enumerate_fiber(Subset.full(2, 2), key((5, 5), (5, 5), 10))
 
 
-def test_fiber_size_budget_is_hard():
+def test_fiber_size_budget_is_hard(monkeypatch):
+    monkeypatch.setattr(tables_mod, "MAX_FIBER_SIZE", 3)
     with pytest.raises(BudgetError):
-        enumerate_fiber(
-            Subset.full(3, 3),
-            key((2, 2, 2), (2, 2, 2), 6),
-            Budget(max_fiber_size=3),
-        )
+        enumerate_fiber(Subset.full(3, 3), key((2, 2, 2), (2, 2, 2), 6))
 
 
 def test_fibers_of_degree_partition_everything():
@@ -167,9 +160,10 @@ def test_enumeration_is_not_limited_by_recursion_depth():
     assert _tables_of_degree(1, 1200, 0)[0].flat == (0,) * 1200
 
 
-def test_fibers_of_degree_budget():
+def test_fibers_of_degree_budget(monkeypatch):
+    monkeypatch.setattr(tables_mod, "MAX_TABLES_PER_DEGREE", 100)
     with pytest.raises(BudgetError):
-        fibers_of_degree(Subset.full(3, 3), 4, Budget(max_tables_per_degree=100))
+        fibers_of_degree(Subset.full(3, 3), 4)
 
 
 # ----------------------------------------------------------------- moves
@@ -183,6 +177,17 @@ def test_apply_move_signs_and_negativity():
     assert back is not None
     assert back.flat == (0, 1, 1, 0)
     assert apply_move(back, q, +1).flat == t.flat
+
+
+def test_apply_move_refuses_a_move_outside_the_shape():
+    # Refused with the ValueError of _signed_steps and the census, not an
+    # IndexError from the entry rows.
+    t = CellTable.from_rows([[1, 0], [0, 1]])
+    for q, text in ((QuadGen(1, 3, 1, 2), "(1, 3, 1, 2)"), (QuadGen(1, 2, 1, 3), "(1, 2, 1, 3)")):
+        for sign in (+1, -1):
+            with pytest.raises(ValueError) as err:
+                apply_move(t, q, sign)
+            assert str(err.value) == f"move {text} does not fit in 2x2"
 
 
 def test_in_generator_moves_preserve_margins():
@@ -384,13 +389,13 @@ def test_generation_check_matches_listing_on_seeded_subsets():
     assert outcomes.count(True) >= 2 and outcomes.count(False) >= 2, outcomes
 
 
-def test_generation_check_checks_the_degree_budget_like_listing():
+def test_generation_check_checks_the_degree_budget_like_listing(monkeypatch):
     s = Subset.full(3, 3)
-    budget = Budget(max_tables_per_degree=100)
+    monkeypatch.setattr(tables_mod, "MAX_TABLES_PER_DEGREE", 100)
     messages = []
     for hunt in (generation_check, generation_check_by_listing):
         with pytest.raises(BudgetError) as err:
-            hunt(s, build_generators(s), 4, budget)
+            hunt(s, build_generators(s), 4)
         messages.append(str(err.value))
     assert messages == ["165 degree-3 tables on 3x3 exceed budget 100"] * 2
 
@@ -405,12 +410,19 @@ def test_generation_check_builds_tables_only_for_the_witness(monkeypatch):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(fibers_mod, "_from_flat", counted)
     full = Subset.full(3, 3)
+    # The shared per-shape listing is built once, on the first hunt over
+    # 3x3; the counting starts after it, so it holds in any test order.
+    for d in range(5):
+        fibers_mod._margin_classes(3, 3, d)
+    monkeypatch.setattr(fibers_mod, "_from_flat", counted)
     assert generation_check(full, build_generators(full), 4).passed
-    assert calls == []
     res = generation_check(DIAG3, build_generators(DIAG3), 4)
-    assert not res.passed and len(calls) == res.witness.size == 2
+    assert not res.passed and calls == []
+    # The witness builds its tables only when they are read.
+    tables = res.witness.tables
+    assert len(calls) == len(tables) == res.witness.size == 2
+    assert tuple(t.flat for t in tables) == res.witness.flats
 
 
 def test_connected_fibers_mirror_reduction_to_zero():
@@ -602,11 +614,10 @@ def test_census_checks_every_degree_budget_before_counting(monkeypatch):
 
     monkeypatch.setattr(fibers_mod, "_independent_set_counts", no_counting)
     monkeypatch.setattr(fibers_mod, "_margin_values", no_counting)
+    monkeypatch.setattr(tables_mod, "MAX_DEGREE", 20)
     s = Subset.full(1, 25)
     with pytest.raises(BudgetError) as err:
-        initial_ideal_census(
-            s, build_generators(s), MonomialOrder(s.shape), 20, Budget(max_degree=20)
-        )
+        initial_ideal_census(s, build_generators(s), MonomialOrder(s.shape), 20)
     assert str(err.value) == "593775 degree-6 tables on 1x25 exceed budget 200000"
 
 
@@ -841,14 +852,11 @@ def test_walk_draws_as_randrange_and_choice_at_every_pool_size():
 
 
 def test_walk_step_ceiling_is_inclusive_and_checked_before_any_step(monkeypatch):
-    import subtoric.fibers as fibers_mod
-    from subtoric.tables import MAX_WALK_STEPS
-
-    assert MAX_WALK_STEPS == 10_000_000
+    assert tables_mod.MAX_WALK_STEPS == 10_000_000
     s = Subset.full(2, 2)
     start = CellTable.from_rows([[1, 0], [0, 1]])
     moves = build_generators(s)
-    monkeypatch.setattr(fibers_mod, "MAX_WALK_STEPS", 50)
+    monkeypatch.setattr(tables_mod, "MAX_WALK_STEPS", 50)
     assert random_walk(s, start, moves, 50, seed=3).steps == 50
     with pytest.raises(BudgetError) as err:
         random_walk(s, start, moves, 51, seed=3)

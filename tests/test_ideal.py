@@ -17,6 +17,7 @@ from subtoric.ideal import (
     move_keys,
     quad_membership,
 )
+import subtoric.tables as tables_mod
 from subtoric.tables import (
     MAX_QUADS,
     BlockWitness,
@@ -138,7 +139,7 @@ def test_all_quads_refuses_too_many_moves_before_building_any(monkeypatch):
             build_generators(Subset.empty(100, 100))
         assert str(err.value) == message
     # The bound is inclusive: a shape with exactly MAX_QUADS moves is built.
-    monkeypatch.setattr(ideal_mod, "MAX_QUADS", 36)
+    monkeypatch.setattr(tables_mod, "MAX_QUADS", 36)
     assert len(all_quads(TableShape(4, 4))) == 36
     with pytest.raises(BudgetError, match="^60 candidate moves on 4x5 exceed budget 36$"):
         all_quads(TableShape(4, 5))
@@ -234,6 +235,15 @@ def test_generators_equivariant_under_permutation():
 def test_minor_excluded_known_cases():
     assert minor_excluded(S(2, 2, (1, 1)), QuadGen(1, 2, 1, 2))
     assert not minor_excluded(Subset.full(2, 2), QuadGen(1, 2, 1, 2))
+
+
+def test_minor_excluded_refuses_a_move_outside_the_shape():
+    # Refused, not answered: a cell outside the shape is not a cell outside S.
+    for s in (S(2, 2, (1, 1)), Subset.full(2, 2)):
+        for q, text in ((QuadGen(1, 3, 1, 2), "(1, 3, 1, 2)"), (QuadGen(1, 2, 2, 3), "(1, 2, 2, 3)")):
+            with pytest.raises(ValueError) as err:
+                minor_excluded(s, q)
+            assert str(err.value) == f"move {text} does not fit in 2x2"
 
 
 def test_minor_excluded_matches_generator_absence_on_staircases_3x3():

@@ -213,6 +213,15 @@ def test_subset_json_refuses_a_shape_above_the_cell_limit():
     assert MAX_JSON_CELLS >= 1200
 
 
+def test_subset_json_nested_past_the_recursion_limit_is_a_value_error():
+    # json.loads raises RecursionError here, which no caller expects.
+    deep = "[" * 200_000 + "]" * 200_000
+    doc = '{"m": ' + deep + "}"
+    for text in (doc, doc.encode()):
+        with pytest.raises(ValueError, match="^JSON nested too deeply$"):
+            Subset.from_json(text)
+
+
 @pytest.mark.parametrize(
     "doc",
     [

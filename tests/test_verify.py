@@ -10,7 +10,7 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
-from subtoric.fibers import Budget
+import subtoric.tables as tables_mod
 from subtoric.tables import (
     BudgetError,
     PermPair,
@@ -130,13 +130,12 @@ def test_report_json_has_stable_field_names():
     assert d2["neither_witness"]["size"] == 2
 
 
-def test_degree_budget_is_enforced():
+def test_degree_budget_is_enforced(monkeypatch):
     with pytest.raises(BudgetError):
         verify_subset(S(3, 3, (1, 1), (2, 2), (3, 3)), 7)
+    monkeypatch.setattr(tables_mod, "MAX_TABLES_PER_DEGREE", 50)
     with pytest.raises(BudgetError):
-        verify_subset(
-            Subset.full(3, 3), 4, budget=Budget(max_tables_per_degree=50)
-        )
+        verify_subset(Subset.full(3, 3), 4)
 
 
 def test_block_reduction_checks_the_table_budget_before_counting(monkeypatch):
@@ -147,9 +146,10 @@ def test_block_reduction_checks_the_table_budget_before_counting(monkeypatch):
 
     monkeypatch.setattr(fibers_mod, "_margin_values", no_counting)
     # Not a staircase, so the block branch is the first to meet the budget.
+    monkeypatch.setattr(tables_mod, "MAX_TABLES_PER_DEGREE", 50)
     s = block_pattern(TableShape(4, 4), 2, 2)
     with pytest.raises(BudgetError) as err:
-        verify_subset(s, 4, budget=Budget(max_tables_per_degree=50))
+        verify_subset(s, 4)
     assert str(err.value) == "136 degree-2 tables on 4x4 exceed budget 50"
 
 
@@ -206,14 +206,35 @@ def test_classified_subsets_refuse_on_budget_before_building_moves(monkeypatch):
         assert str(err.value) == "405450 degree-2 tables on 30x30 exceed budget 200000"
 
 
-def test_neither_subsets_keep_the_degree_by_degree_budget():
+def test_neither_subsets_keep_the_degree_by_degree_budget(monkeypatch):
     # Degree 4 on 3x3 is 495 tables, over this budget, but the diagonal's
     # witness has degree 3, so the hunt finds it before meeting degree 4.
-    budget = Budget(max_tables_per_degree=200)
-    rep = verify_subset(S(3, 3, (1, 1), (2, 2), (3, 3)), 4, budget)
+    monkeypatch.setattr(tables_mod, "MAX_TABLES_PER_DEGREE", 200)
+    rep = verify_subset(S(3, 3, (1, 1), (2, 2), (3, 3)), 4)
     assert rep.neither_witness.key.degree == 3
     with pytest.raises(BudgetError, match="^495 degree-4 tables on 3x3 exceed budget 200$"):
-        verify_subset(Subset.full(3, 3), 4, budget)
+        verify_subset(Subset.full(3, 3), 4)
+
+
+def test_one_patch_of_max_degree_moves_every_degree_refusal(monkeypatch):
+    from subtoric.fibers import enumerate_fiber, fibers_of_degree
+    from subtoric.tables import Margins
+
+    stair, full = S(3, 3, (1, 1), (1, 2), (2, 1)), Subset.full(2, 2)
+    deep = Margins((2, 1), (2, 1), 3)
+    # At the shipped ceiling both degree-3 requests pass.
+    assert tables_mod.MAX_DEGREE == 6
+    assert verify_subset(stair, 3).gb.passed
+    assert enumerate_fiber(full, deep).size == 2
+    monkeypatch.setattr(tables_mod, "MAX_DEGREE", 2)
+    with pytest.raises(BudgetError, match="^degree bound 3 exceeds budget 2$"):
+        verify_subset(stair, 3)
+    with pytest.raises(BudgetError, match="^fiber degree 3 exceeds budget 2$"):
+        enumerate_fiber(full, deep)
+    with pytest.raises(BudgetError, match="^degree 3 exceeds budget 2$"):
+        fibers_of_degree(full, 3)
+    assert verify_subset(stair, 2).gb.passed
+    assert enumerate_fiber(full, Margins((1, 1), (1, 1), 2)).size == 2
 
 
 def _doubly_sorted(m, n):
@@ -348,9 +369,9 @@ def test_each_classified_subset_is_certified_once(monkeypatch):
     certified = []
     original = verify_mod._certify_staircase
 
-    def counted(s, gset, max_degree, budget):
+    def counted(s, gset, max_degree):
         certified.append(s)
-        return original(s, gset, max_degree, budget)
+        return original(s, gset, max_degree)
 
     monkeypatch.setattr(verify_mod, "_certify_staircase", counted)
     both = 0

@@ -24,9 +24,8 @@ from subtoric.binomials import (
     orient,
     s_polynomial,
 )
+import subtoric.tables as tables_mod
 from subtoric.fibers import (
-    DEFAULT_BUDGET,
-    Budget,
     CensusRow,
     Fiber,
     GenerationCheck,
@@ -40,7 +39,6 @@ from subtoric.fibers import (
 )
 from subtoric.ideal import GeneratorSet, QuadGen, build_generators
 from subtoric.tables import (
-    ORACLE_MAX_SIDE,
     BlockWitness,
     BudgetError,
     CellTable,
@@ -128,7 +126,7 @@ def census_by_scan(
     s_idx = [i * n + j for i in range(m) for j in range(n) if s.mask[i][j]]
     rows = []
     for d in range(max_degree + 1):
-        _check_degree_budget(s.shape, d, DEFAULT_BUDGET)
+        _check_degree_budget(s.shape, d)
         standard = 0
         keys = set()
         for flat, rsums, csums in _margin_parts(m, n, d):
@@ -141,14 +139,12 @@ def census_by_scan(
     return rows
 
 
-def partition_of_degree(
-    s: Subset, d: int, budget: Budget = DEFAULT_BUDGET
-) -> list[tuple]:
+def partition_of_degree(s: Subset, d: int) -> list[tuple]:
     """The fibers of degree d as sorted lists of flat tables, by listing
     every degree-d table; two subsets split the tables alike exactly
     when these agree."""
     return sorted(
-        tuple(t.flat for t in f.tables) for f in fibers_of_degree(s, d, budget)
+        tuple(t.flat for t in f.tables) for f in fibers_of_degree(s, d)
     )
 
 
@@ -324,10 +320,9 @@ def classify_oracle_by_cells(s: Subset) -> Classification:
     """The permutation oracle packing each pair's mask one cell bit at a
     time: rows outer, columns inner, first witness kept for each class."""
     m, n = s.shape.m, s.shape.n
-    if m > ORACLE_MAX_SIDE or n > ORACLE_MAX_SIDE:
-        raise BudgetError(
-            f"oracle budget is {ORACLE_MAX_SIDE}x{ORACLE_MAX_SIDE}, got {s.shape}"
-        )
+    side = tables_mod.ORACLE_MAX_SIDE
+    if m > side or n > side:
+        raise BudgetError(f"oracle budget is {side}x{side}, got {s.shape}")
     cells0 = [(i - 1, j - 1) for i, j in s.cells]
     rows2, cols2 = _packed_tri_masks(m, n)
     blocks = _packed_blocks(m, n)
@@ -364,13 +359,12 @@ def generation_check_by_listing(
     s: Subset,
     gens: GeneratorSet,
     max_degree: int = 4,
-    budget: Budget = DEFAULT_BUDGET,
 ) -> GenerationCheck:
     """The fiber hunt over ``fibers_of_degree``: every fiber of every
     degree in margin-key order, each of more than one table split into
     components by ``fiber_components``."""
     for d in range(max_degree + 1):
-        for fiber in fibers_of_degree(s, d, budget):
+        for fiber in fibers_of_degree(s, d):
             if fiber.size > 1 and len(fiber_components(fiber, gens)) > 1:
                 return GenerationCheck(False, max_degree, fiber)
     return GenerationCheck(True, max_degree, None)
@@ -414,5 +408,5 @@ def neither_by_local_scan(s: Subset) -> Optional[Fiber]:
                     entries[i][j] = e
             tables.append(CellTable.from_rows(entries))
         tables.sort(key=lambda t: t.flat)
-        return Fiber.from_tables(margins(s, tables[0]), tables)
+        return Fiber(margins(s, tables[0]), tuple(t.flat for t in tables))
     return None
