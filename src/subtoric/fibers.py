@@ -8,6 +8,12 @@ Everything here enumerates honestly within the hard ceilings of
 subtoric.tables (MAX_DEGREE, MAX_FIBER_SIZE, MAX_TABLES_PER_DEGREE,
 MAX_WALK_STEPS), each read there at its check; past one, the work raises
 BudgetError.  Nothing is sampled where exactness is claimed.
+
+fibers_of_degree and generation_check share one cached listing,
+_margin_classes, of each table as a sparse cell tuple: its cells' flat
+indices, ascending, each repeated by its entry.  Ascending sparse order
+is descending flat order; every fiber and witness keeps its tables in
+ascending flat order.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from typing import Collection, Iterable, Optional, Sequence
 
 from subtoric import tables
@@ -145,54 +151,11 @@ def _from_flat(shape: TableShape, flat: Sequence[int]) -> CellTable:
     )
 
 
-@lru_cache(maxsize=None)
-def _tables_of_degree(m: int, n: int, d: int) -> tuple[CellTable, ...]:
-    """Every nonnegative m x n table of total sum d, ascending by flat
-    entries.  Cached; callers must budget-check first.
-
-    The last entry is forced, so the next table raises the second-last
-    entry by one while the last is positive; otherwise it clears the
-    rightmost other positive entry, raises the one before it, and puts
-    the rest of the cleared mass on the last entry.
-    """
-    shape = TableShape(m, n)
-    size = m * n
-    flat = [0] * size
-    flat[-1] = d
-    out = []
-    while True:
-        out.append(_from_flat(shape, flat))
-        if size > 1 and flat[-1]:
-            flat[-2] += 1
-            flat[-1] -= 1
-            continue
-        j = size - 2
-        while j >= 0 and not flat[j]:
-            j -= 1
-        if j <= 0:
-            return tuple(out)
-        flat[-1] = flat[j] - 1
-        flat[j] = 0
-        flat[j - 1] += 1
-
-
-@lru_cache(maxsize=None)
-def _margin_parts(
-    m: int, n: int, d: int
-) -> tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]:
-    """(flat, row_sums, col_sums) for every degree-d table; the subset
-    sum is the only margin component that depends on S."""
-    parts = []
-    for t in _tables_of_degree(m, n, d):
-        rows = tuple(map(sum, t.entries))
-        cols = tuple(map(sum, zip(*t.entries)))
-        parts.append((t.flat, rows, cols))
-    return tuple(parts)
-
-
 def _check_degree_budget(shape: TableShape, d: int) -> None:
-    """Refuse degree d past MAX_DEGREE, then a shape with more than
-    MAX_TABLES_PER_DEGREE tables of degree d."""
+    """Refuse a negative degree d, then d past MAX_DEGREE, then a shape
+    with more than MAX_TABLES_PER_DEGREE tables of degree d."""
+    if d < 0:
+        raise ValueError(f"degree must be nonnegative, got {d}")
     if d > tables.MAX_DEGREE:
         raise BudgetError(f"degree {d} exceeds budget {tables.MAX_DEGREE}")
     count = math.comb(d + shape.m * shape.n - 1, shape.m * shape.n - 1)
@@ -204,15 +167,67 @@ def _check_degree_budget(shape: TableShape, d: int) -> None:
 
 
 def fibers_of_degree(s: Subset, d: int) -> list[Fiber]:
-    """Partition all degree-d tables into fibers, sorted by margin key."""
+    """Partition all degree-d tables into fibers, sorted by margin key:
+    each (row sums, column sums) class of _margin_classes split by its
+    subset sum."""
     m, n = s.shape.m, s.shape.n
     _check_degree_budget(s.shape, d)
-    s_idx = [i * n + j for i in range(m) for j in range(n) if s.mask[i][j]]
-    groups: dict[tuple, list[tuple[int, ...]]] = {}
-    for flat, rows, cols in _margin_parts(m, n, d):
-        in_sum = sum(map(flat.__getitem__, s_idx))
-        groups.setdefault((rows, cols, in_sum), []).append(flat)
-    return [Fiber(Margins(*key), tuple(groups[key])) for key in sorted(groups)]
+    size = m * n
+    inside = [int(hit) for row in s.mask for hit in row]
+    return [
+        Fiber(Margins(rows, cols, in_sum), tuple(_flat(t, size) for t in fiber))
+        for rows, cols, tables in _margin_classes(m, n, d)
+        for in_sum, fiber in sorted(_by_subset_sum(tables, inside).items())
+    ]
+
+
+@lru_cache(maxsize=None)
+def _margin_classes(m: int, n: int, d: int) -> tuple[tuple[tuple, tuple, tuple], ...]:
+    """(row_sums, col_sums, tables) for every pair of row and column sums
+    that degree-d tables take, in key order; each table is a sparse cell
+    tuple (see _sparse), in ascending flat order within its class.
+    Cached; callers must budget-check first.
+
+    combinations_with_replacement lists every table once in ascending
+    sparse order, which is descending flat order, so each class is
+    reversed.  A table's row and column sums pack into one int, cell
+    (i, j) adding base**i + base**(m + j) in base d + 1 as in
+    _margin_values; each class key is decoded once.
+    """
+    base = d + 1
+    packs = [base**i + base ** (m + j) for i in range(m) for j in range(n)]
+    classes: dict[int, list[tuple[int, ...]]] = {}
+    for t in combinations_with_replacement(range(m * n), d):
+        classes.setdefault(sum(map(packs.__getitem__, t)), []).append(t)
+    out = []
+    for packed, ts in classes.items():
+        sums = [packed // base**k % base for k in range(m + n)]
+        ts.reverse()
+        out.append((tuple(sums[:m]), tuple(sums[m:]), tuple(ts)))
+    # The (row_sums, col_sums) pairs are distinct, so no tables are compared.
+    out.sort()
+    return tuple(out)
+
+
+def _by_subset_sum(
+    tables: Iterable[tuple[int, ...]], inside: Sequence[int]
+) -> dict[int, list[tuple[int, ...]]]:
+    """The fibers of one margin class keyed by subset sum, each fiber's
+    tables in class order.  A sparse table's subset sum is the subset
+    indicator summed over its cells."""
+    fibers: dict[int, list[tuple[int, ...]]] = {}
+    for t in tables:
+        fibers.setdefault(sum(map(inside.__getitem__, t)), []).append(t)
+    return fibers
+
+
+def _flat(t: Sequence[int], size: int) -> tuple[int, ...]:
+    """The row-major flat entries of the sparse cell tuple t on size
+    cells; the inverse of _sparse."""
+    flat = [0] * size
+    for c in t:
+        flat[c] += 1
+    return tuple(flat)
 
 
 # ---------------------------------------------------------------------------
@@ -344,22 +359,23 @@ def generation_check(
     """Are all fibers of degree <= max_degree connected under the moves?
 
     Fails with the first disconnected fiber, scanning degrees upward and
-    fibers in margin-key order.  Each table is a sparse cell tuple, and
-    its subset sum is the subset indicator summed over its cells; the
-    fibers are split out of the shared (row sums, column sums) classes
-    by that sum.  The moves are keyed by their down cells at the first
-    fiber of more than one table, and each table looks up only the
-    pairs of distinct cells in its support.  No CellTable is built: the
-    witness keeps its tables as flat tuples, like enumerate_fiber's.
+    fibers in margin-key order: each _margin_classes class of two or
+    more sparse tables, split by subset sum.  The moves are keyed by
+    their down cells at the first fiber of more than one table, and each
+    table looks up only the pairs of distinct cells in its support.  No
+    CellTable is built: the witness keeps its tables as flat tuples.
     """
+    if max_degree < 0:
+        raise ValueError(f"degree bound must be nonnegative, got {max_degree}")
+    m, n = s.shape.m, s.shape.n
     inside = [int(hit) for row in s.mask for hit in row]
     steps = None
     for d in range(max_degree + 1):
         _check_degree_budget(s.shape, d)
-        for rows, cols, tables in _margin_classes(s.shape.m, s.shape.n, d):
-            fibers: dict[int, list[tuple[int, ...]]] = {}
-            for t in tables:
-                fibers.setdefault(sum(map(inside.__getitem__, t)), []).append(t)
+        for rows, cols, tables in _margin_classes(m, n, d):
+            if len(tables) == 1:
+                continue
+            fibers = _by_subset_sum(tables, inside)
             for in_sum in sorted(fibers):
                 fiber = fibers[in_sum]
                 if len(fiber) == 1:
@@ -367,30 +383,10 @@ def generation_check(
                 if steps is None:
                     steps = _steps_by_down(s.shape, gens)
                 if any(_component_roots(fiber, steps)):
-                    # Each cell's entry is its count in the sparse tuple,
-                    # and the class keeps its tables in ascending flat order.
-                    cells = range(len(inside))
-                    flats = tuple(tuple(map(t.count, cells)) for t in fiber)
+                    flats = tuple(_flat(t, m * n) for t in fiber)
                     witness = Fiber(Margins(rows, cols, in_sum), flats)
                     return GenerationCheck(False, max_degree, witness)
     return GenerationCheck(True, max_degree, None)
-
-
-@lru_cache(maxsize=None)
-def _margin_classes(m: int, n: int, d: int) -> tuple[tuple[tuple, tuple, tuple], ...]:
-    """(row_sums, col_sums, tables) for every pair of row and column sums
-    that at least two degree-d tables share, in key order, each table a
-    sparse cell tuple (see _sparse), in ascending flat order within its
-    class.  Every fiber of degree d is one class split by its subset
-    sum.  Cached; callers must budget-check first."""
-    classes: dict[tuple, list[tuple[int, ...]]] = {}
-    for flat, rows, cols in _margin_parts(m, n, d):
-        classes.setdefault((rows, cols), []).append(flat)
-    return tuple(
-        (rows, cols, tuple(map(_sparse, flats)))
-        for (rows, cols), flats in sorted(classes.items())
-        if len(flats) > 1
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 import re
@@ -25,8 +26,10 @@ from subtoric.fibers import (
     walk_tv,
     walk_vs_exact,
     _independent_set_counts,
+    _flat,
+    _margin_classes,
     _margin_values,
-    _tables_of_degree,
+    _sparse,
 )
 from subtoric.ideal import GeneratorSet, QuadGen, all_quads, block_reduce, build_generators
 from subtoric.tables import (
@@ -147,17 +150,85 @@ def test_fibers_of_degree_partition_everything():
         assert keys == sorted(keys)
 
 
-def test_tables_of_degree_lists_every_table_in_order():
+def test_margin_classes_list_every_table_once_in_order():
     for m, n, d in [(1, 1, 4), (1, 3, 2), (2, 2, 3), (2, 3, 2), (3, 1, 3)]:
-        got = [t.flat for t in _tables_of_degree(m, n, d)]
-        assert got == sorted(t.flat for t in _all_tables(m, n, d))
+        sums = {
+            t.flat: (tuple(map(sum, t.entries)), tuple(map(sum, zip(*t.entries))))
+            for t in _all_tables(m, n, d)
+        }
+        classes = _margin_classes(m, n, d)
+        keys = [(rows, cols) for rows, cols, _ in classes]
+        assert keys == sorted(set(keys))
+        got = []
+        for rows, cols, listed in classes:
+            flats = [_flat(t, m * n) for t in listed]
+            assert flats == sorted(flats)
+            assert list(listed) == [_sparse(f) for f in flats]
+            assert all(sums[f] == (rows, cols) for f in flats)
+            got += flats
+        assert sorted(got) == sorted(sums)
 
 
 def test_enumeration_is_not_limited_by_recursion_depth():
     # 1200 cells is deeper than Python's default recursion limit.
     s = Subset.full(1, 1200)
     assert enumerate_fiber(s, key((0,), (0,) * 1200, 0)).size == 1
-    assert _tables_of_degree(1, 1200, 0)[0].flat == (0,) * 1200
+    assert _margin_classes(1, 1200, 0) == (((0,), (0,) * 1200, ((),)),)
+    assert _flat((), 1200) == (0,) * 1200
+
+
+def test_listing_builds_no_cell_table(monkeypatch):
+    import subtoric.fibers as fibers_mod
+
+    built = []
+    original = CellTable.__post_init__
+
+    def counted(self):
+        built.append(self)
+        original(self)
+
+    s = Subset.full(3, 3)
+    gens, diag_gens = build_generators(s), build_generators(DIAG3)
+    fibers_mod._margin_classes.cache_clear()
+    monkeypatch.setattr(CellTable, "__post_init__", counted)
+    for d in range(5):
+        fibers_of_degree(s, d)
+    assert generation_check(s, gens, 4).passed
+    assert not generation_check(DIAG3, diag_gens, 4).passed
+    assert built == []
+
+
+# sha256 over (key, flats) of every fibers_of_degree fiber and over each
+# generation_check result (passed, witness key, witness flats), on seeded
+# random 2x2-4x4 subsets through degree 3 and the full 3x3 through degree
+# 4, as the listing caches built from CellTables returned them.
+PARTITION_DIGEST = "eeccd20dc8ebacb5419064a59e5ab6c1fee97ebd803ca666da48fe40abc9c1ac"
+
+
+def test_fibers_and_hunts_golden():
+    rng = random.Random(1901)
+    sweep = [(Subset.full(3, 3), 4)]
+    sweep += [
+        (random_subset(rng, rng.randint(2, 4), rng.randint(2, 4), rng.random()), 3)
+        for _ in range(60)
+    ]
+    digest = hashlib.sha256()
+    for s, top in sweep:
+        for d in range(top + 1):
+            for f in fibers_of_degree(s, d):
+                digest.update(repr((f.key, f.flats)).encode())
+        res = generation_check(s, build_generators(s), top)
+        w = res.witness
+        digest.update(
+            repr((res.passed, w and w.key, w and w.flats)).encode()
+        )
+    assert digest.hexdigest() == PARTITION_DIGEST
+
+
+def test_fibers_of_degree_refuses_a_negative_degree():
+    with pytest.raises(ValueError) as err:
+        fibers_of_degree(Subset.full(2, 2), -1)
+    assert str(err.value) == "degree must be nonnegative, got -1"
 
 
 def test_fibers_of_degree_budget(monkeypatch):
@@ -332,6 +403,14 @@ def test_generation_check_degree_one_vacuous():
     for _ in range(10):
         s = random_subset(rng, 3, 3)
         assert generation_check(s, build_generators(s), 1).passed
+
+
+def test_generation_check_refuses_a_negative_degree_bound():
+    # Refused like verify_subset and the census, not passed unchecked.
+    s = Subset.full(2, 2)
+    with pytest.raises(ValueError) as err:
+        generation_check(s, build_generators(s), -1)
+    assert str(err.value) == "degree bound must be nonnegative, got -1"
 
 
 def test_generation_check_lays_out_the_moves_once(monkeypatch):

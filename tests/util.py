@@ -31,7 +31,8 @@ from subtoric.fibers import (
     GenerationCheck,
     WalkTrace,
     _check_degree_budget,
-    _margin_parts,
+    _flat,
+    _margin_classes,
     apply_move,
     fiber_components,
     fibers_of_degree,
@@ -129,12 +130,13 @@ def census_by_scan(
         _check_degree_budget(s.shape, d)
         standard = 0
         keys = set()
-        for flat, rsums, csums in _margin_parts(m, n, d):
-            if not any(
-                all(flat[idx] >= e for idx, e in req) for req in lead_reqs
-            ):
-                standard += 1
-            keys.add((rsums, csums, sum(flat[idx] for idx in s_idx)))
+        for rsums, csums, listed in _margin_classes(m, n, d):
+            for flat in (_flat(t, m * n) for t in listed):
+                if not any(
+                    all(flat[idx] >= e for idx, e in req) for req in lead_reqs
+                ):
+                    standard += 1
+                keys.add((rsums, csums, sum(flat[idx] for idx in s_idx)))
         rows.append(CensusRow(d, standard, len(keys)))
     return rows
 
