@@ -20,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Optional, Sequence
 
 from subtoric import tables
@@ -30,6 +30,7 @@ from subtoric.tables import (
     PermPair,
     ShapeMismatchError,
     TableShape,
+    _rows,
 )
 
 # A monomial as MonomialOrder.key gives it, and an oriented binomial of two.
@@ -46,7 +47,7 @@ class MonomialOrder:
         columns ascending, from 0), repeated by its exponent, descending."""
         if t.shape != self.shape:
             raise ShapeMismatchError(f"monomial on {t.shape}, order on {self.shape}")
-        flat = (e for row in reversed(t.entries) for e in row)
+        flat = chain.from_iterable(reversed(_rows(t.flat, self.shape.n)))
         return tuple(-p for p, e in enumerate(flat) for _ in range(e))
 
     def cells_key(self, cells: Iterable[tuple[int, int]]) -> Key:
@@ -214,11 +215,11 @@ class _Divider:
         m, n = self.shape.m, self.shape.n
         sides = []
         for t in pair:
-            rows = [[0] * n for _ in range(m)]
+            flat = [0] * (m * n)
             for q in t:
                 r, c = divmod(-q, n)
-                rows[m - 1 - r][c] += 1
-            sides.append(CellTable(self.shape, tuple(map(tuple, rows))))
+                flat[(m - 1 - r) * n + c] += 1
+            sides.append(CellTable(self.shape, tuple(flat)))
         return Binomial(*sides)
 
 

@@ -35,6 +35,7 @@ from subtoric.tables import (
     ShapeMismatchError,
     Subset,
     TableShape,
+    _rows,
     margins,
 )
 
@@ -42,8 +43,9 @@ from subtoric.tables import (
 @dataclass(frozen=True)
 class Fiber:
     """The tables sharing one margin key, kept as their row-major flat
-    entry tuples in ascending order.  ``tables`` builds the CellTables
-    on first read; size and the JSON form read the flat tuples."""
+    entry tuples in ascending order, as CellTable stores them.
+    ``tables`` builds the CellTables on first read; size and the JSON
+    form read the flat tuples."""
 
     key: Margins
     flats: tuple[tuple[int, ...], ...]
@@ -51,7 +53,7 @@ class Fiber:
     @cached_property
     def tables(self) -> tuple[CellTable, ...]:
         shape = TableShape(len(self.key.row_sums), len(self.key.col_sums))
-        return tuple(_from_flat(shape, f) for f in self.flats)
+        return tuple(CellTable(shape, f) for f in self.flats)
 
     @property
     def size(self) -> int:
@@ -61,7 +63,7 @@ class Fiber:
         """Each table's rows as lists, as CellTable.to_json_dict gives
         them, without building the CellTable."""
         n = len(self.key.col_sums)
-        return [[list(f[c : c + n]) for c in range(0, len(f), n)] for f in self.flats]
+        return [list(map(list, _rows(f, n))) for f in self.flats]
 
     def to_json_dict(self) -> dict:
         return {
@@ -141,14 +143,6 @@ def enumerate_fiber(s: Subset, key: Margins) -> Fiber:
         descending = False
     found.sort()
     return Fiber(key, tuple(found))
-
-
-def _from_flat(shape: TableShape, flat: Sequence[int]) -> CellTable:
-    """The table with the given row-major entries."""
-    n = shape.n
-    return CellTable(
-        shape, tuple(tuple(flat[r * n : (r + 1) * n]) for r in range(shape.m))
-    )
 
 
 def _check_degree_budget(shape: TableShape, d: int) -> None:
@@ -239,14 +233,15 @@ def apply_move(t: CellTable, q: QuadGen, sign: int) -> Optional[CellTable]:
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     _check_fits(t.shape, q)
-    rows = [list(r) for r in t.entries]
+    n = t.shape.n
+    flat = list(t.flat)
     for i, j in q.diagonal_cells:
-        rows[i - 1][j - 1] += sign
+        flat[(i - 1) * n + j - 1] += sign
     for i, j in q.antidiagonal_cells:
-        rows[i - 1][j - 1] -= sign
-    if any(e < 0 for r in rows for e in r):
+        flat[(i - 1) * n + j - 1] -= sign
+    if min(flat) < 0:
         return None
-    return CellTable(t.shape, tuple(tuple(r) for r in rows))
+    return CellTable(t.shape, tuple(flat))
 
 
 _Step = tuple[tuple[int, int], tuple[int, int]]
@@ -547,7 +542,7 @@ class WalkTrace:
     @cached_property
     def visit_counts(self) -> dict:
         shape = self.final.shape
-        return {_from_flat(shape, f): c for f, c in self.flat_counts.items()}
+        return {CellTable(shape, f): c for f, c in self.flat_counts.items()}
 
     def to_json_dict(self) -> dict:
         return {
@@ -622,7 +617,7 @@ def random_walk(
         else:
             run += 1
     counts[state] = counts.get(state, 0) + run
-    return WalkTrace(seed, steps, counts, _from_flat(s.shape, state), accepted)
+    return WalkTrace(seed, steps, counts, CellTable(s.shape, state), accepted)
 
 
 def walk_tv(fiber: Fiber, trace: WalkTrace) -> float:

@@ -59,11 +59,10 @@ class QuadGen:
         _check_fits(shape, self)
         sides = []
         for cells in (self.antidiagonal_cells, self.diagonal_cells):
-            # Rows left at zero share one tuple.
-            rows = [(0,) * shape.n] * shape.m
+            flat = [0] * (shape.m * shape.n)
             for i, j in cells:
-                rows[i - 1] = rows[i - 1][: j - 1] + (1,) + rows[i - 1][j:]
-            sides.append(CellTable(shape, tuple(rows)))
+                flat[(i - 1) * shape.n + j - 1] = 1
+            sides.append(CellTable(shape, tuple(flat)))
         return Binomial(*sides)
 
 

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, permutations
-from operator import getitem
+from operator import add, getitem, le, sub
 from typing import Iterable, Optional, Sequence
 
 
@@ -262,85 +262,88 @@ class Subset:
         }
 
 
-@dataclass(frozen=True)
+def _rows(flat: Sequence[int], n: int) -> list:
+    """The row-major flat entries cut into their rows of n, as slices."""
+    return [flat[c : c + n] for c in range(0, len(flat), n)]
+
+
+def _cell_index(shape: TableShape, i: int, j: int) -> int:
+    """The row-major flat index of cell (i, j), 1-based."""
+    if not (1 <= i <= shape.m and 1 <= j <= shape.n):
+        raise ValueError(f"cell ({i},{j}) outside {shape}")
+    return (i - 1) * shape.n + j - 1
+
+
+@dataclass(frozen=True, slots=True)
 class CellTable:
-    """A monomial in the cell variables: one nonnegative exponent per cell."""
+    """A monomial in the cell variables: one nonnegative exponent per
+    cell, stored as the row-major flat tuple of the entries; ``entries``
+    is the row view."""
 
     shape: TableShape
-    entries: tuple[tuple[int, ...], ...]
+    flat: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        m, n = self.shape.m, self.shape.n
-        if len(self.entries) != m or {*map(len, self.entries)} != {n}:
+        if len(self.flat) != self.shape.m * self.shape.n:
             raise ValueError("entry dimensions do not match shape")
-        if min(map(min, self.entries)) < 0:
+        if min(self.flat) < 0:
             raise ValueError("exponents must be nonnegative")
+
+    def __repr__(self) -> str:
+        return f"CellTable(shape={self.shape!r}, entries={self.entries!r})"
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "CellTable":
         shape = TableShape(len(rows), len(rows[0]) if rows else 0)
-        return cls(shape, tuple(tuple(int(e) for e in row) for row in rows))
+        if any(len(row) != shape.n for row in rows):
+            raise ValueError("entry dimensions do not match shape")
+        return cls(shape, tuple(int(e) for row in rows for e in row))
 
     @classmethod
     def zero(cls, shape: TableShape) -> "CellTable":
-        return cls(shape, tuple((0,) * shape.n for _ in range(shape.m)))
+        return cls(shape, (0,) * (shape.m * shape.n))
 
     @classmethod
     def variable(cls, shape: TableShape, i: int, j: int) -> "CellTable":
-        rows = [[0] * shape.n for _ in range(shape.m)]
-        rows[i - 1][j - 1] = 1
-        return cls(shape, tuple(tuple(r) for r in rows))
+        flat = [0] * (shape.m * shape.n)
+        flat[_cell_index(shape, i, j)] = 1
+        return cls(shape, tuple(flat))
+
+    @property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(_rows(self.flat, self.shape.n))
 
     @property
     def degree(self) -> int:
-        return sum(sum(row) for row in self.entries)
-
-    @property
-    def flat(self) -> tuple[int, ...]:
-        """Row-major flattening, handy as a dict key."""
-        return tuple(chain.from_iterable(self.entries))
+        return sum(self.flat)
 
     def entry(self, i: int, j: int) -> int:
-        return self.entries[i - 1][j - 1]
+        return self.flat[_cell_index(self.shape, i, j)]
 
     @property
     def support_cells(self) -> tuple[tuple[int, int], ...]:
-        return tuple(
-            (i + 1, j + 1)
-            for i in range(self.shape.m)
-            for j in range(self.shape.n)
-            if self.entries[i][j]
-        )
+        n = self.shape.n
+        return tuple((p // n + 1, p % n + 1) for p, e in enumerate(self.flat) if e)
 
     @property
     def is_squarefree(self) -> bool:
-        return all(e <= 1 for row in self.entries for e in row)
+        return max(self.flat) <= 1
 
     def _zip(self, other: "CellTable", op) -> "CellTable":
         _check_same_shape(self.shape, other.shape)
-        return CellTable(
-            self.shape,
-            tuple(
-                tuple(op(a, b) for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            ),
-        )
+        return CellTable(self.shape, tuple(map(op, self.flat, other.flat)))
 
     def __mul__(self, other: "CellTable") -> "CellTable":
-        return self._zip(other, lambda a, b: a + b)
+        return self._zip(other, add)
 
     def divides(self, other: "CellTable") -> bool:
         _check_same_shape(self.shape, other.shape)
-        return all(
-            a <= b
-            for ra, rb in zip(self.entries, other.entries)
-            for a, b in zip(ra, rb)
-        )
+        return all(map(le, self.flat, other.flat))
 
     def __floordiv__(self, other: "CellTable") -> "CellTable":
         if not other.divides(self):
             raise ValueError("quotient would have negative exponents")
-        return self._zip(other, lambda a, b: a - b)
+        return self._zip(other, sub)
 
     def lcm(self, other: "CellTable") -> "CellTable":
         return self._zip(other, max)
@@ -350,28 +353,26 @@ class CellTable:
 
     def coprime(self, other: "CellTable") -> bool:
         _check_same_shape(self.shape, other.shape)
-        return all(
-            a == 0 or b == 0
-            for ra, rb in zip(self.entries, other.entries)
-            for a, b in zip(ra, rb)
-        )
+        # Exponents are nonnegative: a cell is shared iff its min is positive.
+        return not any(map(min, self.flat, other.flat))
 
     def permuted(self, perms: PermPair) -> "CellTable":
         if len(perms.row_perm) != self.shape.m or len(perms.col_perm) != self.shape.n:
             raise ShapeMismatchError("permutation sizes do not match shape")
-        return CellTable(self.shape, _permute_rows(self.entries, perms))
+        rows = _permute_rows(self.entries, perms)
+        return CellTable(self.shape, tuple(chain.from_iterable(rows)))
 
     def to_json_dict(self) -> list[list[int]]:
-        return [list(row) for row in self.entries]
+        return [list(row) for row in _rows(self.flat, self.shape.n)]
 
     def __str__(self) -> str:
-        if self.degree == 0:
-            return "1"
-        parts = []
-        for i, j in self.support_cells:
-            e = self.entry(i, j)
-            parts.append(f"x{i}{j}" if e == 1 else f"x{i}{j}^{e}")
-        return "*".join(parts)
+        n = self.shape.n
+        parts = [
+            f"x{p // n + 1}{p % n + 1}" + (f"^{e}" if e > 1 else "")
+            for p, e in enumerate(self.flat)
+            if e
+        ]
+        return "*".join(parts) or "1"
 
 
 @dataclass(frozen=True)
@@ -447,17 +448,10 @@ class Margins:
 def margins(subset: Subset, table: CellTable) -> Margins:
     """Margins of a monomial relative to a subset pattern."""
     _check_same_shape(subset.shape, table.shape)
-    row_sums = tuple(sum(row) for row in table.entries)
-    col_sums = tuple(
-        sum(table.entries[i][j] for i in range(table.shape.m))
-        for j in range(table.shape.n)
-    )
-    in_sum = sum(
-        e
-        for mrow, erow in zip(subset.mask, table.entries)
-        for hit, e in zip(mrow, erow)
-        if hit
-    )
+    flat, n = table.flat, table.shape.n
+    row_sums = tuple(map(sum, _rows(flat, n)))
+    col_sums = tuple(sum(flat[j::n]) for j in range(n))
+    in_sum = sum(e for hit, e in zip(chain.from_iterable(subset.mask), flat) if hit)
     return Margins(row_sums, col_sums, in_sum)
 
 

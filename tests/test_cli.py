@@ -867,7 +867,6 @@ def test_walk_starts_objects_golden():
 def test_sample_commands_build_no_table_objects(monkeypatch, tmp_path, capsys):
     # walk and walk --tv build only the start and the final CellTable, and
     # fiber --json builds none: fibers and visits stay flat up to stdout.
-    import subtoric.fibers as fibers_mod
     from subtoric import cli
     from subtoric.fibers import table_from_csv
     from subtoric.tables import CellTable, Subset, margins
@@ -876,34 +875,26 @@ def test_sample_commands_build_no_table_objects(monkeypatch, tmp_path, capsys):
         label: json.dumps(margins(Subset.from_text(grid), table_from_csv(csv)).to_json_dict())
         for label, (grid, csv) in WALK_STARTS.items()
     }
-    built, from_flat = [], []
+    built = []
     original_post_init = CellTable.__post_init__
-    original_from_flat = fibers_mod._from_flat
 
     def counted_post_init(self):
         built.append(self)
         original_post_init(self)
 
-    def counted_from_flat(*args):
-        from_flat.append(args)
-        return original_from_flat(*args)
-
     monkeypatch.setattr(CellTable, "__post_init__", counted_post_init)
-    monkeypatch.setattr(fibers_mod, "_from_flat", counted_from_flat)
     for label, (grid, csv) in sorted(WALK_STARTS.items()):
         path = write_subset(tmp_path, grid, f"{label}.txt")
         start = write_subset(tmp_path, csv, f"{label}.csv")
         walk = ["walk", "--start", start, "--steps", "4000", "--seed", "1", path]
         for extra in ((), ("--tv",), ("--json",), ("--tv", "--json")):
             built.clear()
-            from_flat.clear()
             assert cli.main(walk + list(extra)) == 0
-            assert len(built) <= 2 and len(from_flat) <= 1
+            assert len(built) <= 2
         capsys.readouterr()
         built.clear()
-        from_flat.clear()
         assert cli.main(["fiber", "--key", keys[label], "--json", path]) == 0
-        assert built == [] and from_flat == []
+        assert built == []
         assert json.loads(capsys.readouterr().out)["payload"]["size"] > 1
 
 

@@ -111,10 +111,7 @@ def _all_tables(m, n, d):
     def rec(cells, left):
         if len(cells) == m * n:
             if left == 0:
-                rows = [
-                    tuple(cells[r * n : (r + 1) * n]) for r in range(m)
-                ]
-                out.append(CellTable(shape, tuple(rows)))
+                out.append(CellTable(shape, tuple(cells)))
             return
         for e in range(left + 1):
             rec(cells + [e], left - e)
@@ -483,18 +480,18 @@ def test_generation_check_builds_tables_only_for_the_witness(monkeypatch):
     import subtoric.fibers as fibers_mod
 
     calls = []
-    original = fibers_mod._from_flat
+    original = CellTable.__post_init__
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def counted(self):
+        calls.append(self)
+        original(self)
 
     full = Subset.full(3, 3)
     # The shared per-shape listing is built once, on the first hunt over
     # 3x3; the counting starts after it, so it holds in any test order.
     for d in range(5):
         fibers_mod._margin_classes(3, 3, d)
-    monkeypatch.setattr(fibers_mod, "_from_flat", counted)
+    monkeypatch.setattr(CellTable, "__post_init__", counted)
     assert generation_check(full, build_generators(full), 4).passed
     res = generation_check(DIAG3, build_generators(DIAG3), 4)
     assert not res.passed and calls == []
