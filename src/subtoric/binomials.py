@@ -289,25 +289,30 @@ def buchberger_check(
     return buchberger_check_keys(keyed, order)
 
 
-def buchberger_check_keys(gens: Sequence[Pair], order: MonomialOrder) -> BuchbergerReport:
-    """``buchberger_check`` on oriented (leading, trailing) key pairs.
-
-    Generators are filed under their leading terms' cells, and the pairs
-    to check are read off those lists.  Their number comes first, by
-    inclusion-exclusion over each leading term's 2^s - 1 nonempty cell
-    sets; more than MAX_S_PAIRS raise BudgetError before any reduction.
-    """
-    div = _Divider(gens, order.shape)
-    supports = [tuple(dict.fromkeys(lt)) for lt in div.lead]
+def _s_pair_count(supports: Sequence[Key], shape: TableShape) -> int:
+    """How many pairs of leading terms share a cell, given each one's
+    distinct cells: inclusion-exclusion over each support's 2^s - 1
+    nonempty cell sets.  More than MAX_S_PAIRS raise BudgetError."""
     shared = Counter(
         cells for sup in supports for r in range(1, len(sup) + 1)
         for cells in combinations(sup, r)
     )
-    checked = sum((-1) ** (len(c) + 1) * k * (k - 1) // 2 for c, k in shared.items())
-    if checked > tables.MAX_S_PAIRS:
-        raise BudgetError(
-            f"{checked} S-pairs on {order.shape} exceed budget {tables.MAX_S_PAIRS}"
-        )
+    count = sum((-1) ** (len(c) + 1) * k * (k - 1) // 2 for c, k in shared.items())
+    if count > tables.MAX_S_PAIRS:
+        raise BudgetError(f"{count} S-pairs on {shape} exceed budget {tables.MAX_S_PAIRS}")
+    return count
+
+
+def buchberger_check_keys(gens: Sequence[Pair], order: MonomialOrder) -> BuchbergerReport:
+    """``buchberger_check`` on oriented (leading, trailing) key pairs.
+
+    Generators are filed under their leading terms' cells, and the pairs
+    to check are read off those lists.  Their number comes first, from
+    ``_s_pair_count``, so a refusal comes before any reduction.
+    """
+    div = _Divider(gens, order.shape)
+    supports = [tuple(dict.fromkeys(lt)) for lt in div.lead]
+    checked = _s_pair_count(supports, order.shape)
     by_cell: defaultdict[int, list[int]] = defaultdict(list)
     for idx, sup in enumerate(supports):
         for p in sup:

@@ -17,7 +17,7 @@ from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
-from subtoric.binomials import MonomialOrder, buchberger_check_keys
+from subtoric.binomials import MonomialOrder
 from subtoric.fibers import (
     check_walk_steps,
     enumerate_fiber,
@@ -26,7 +26,7 @@ from subtoric.fibers import (
     table_from_csv,
     walk_tv,
 )
-from subtoric.ideal import build_generators, move_keys
+from subtoric.ideal import build_generators, move_keys, quadratic_gb_check
 from subtoric.tables import (
     BudgetError,
     Margins,
@@ -177,7 +177,7 @@ def _cmd_check_gb(args) -> int:
     s = _load_subset(args.subset)
     order = MonomialOrder(s.shape)
     gens = [(a, d) if a > d else (d, a) for a, d in move_keys(build_generators(s), order)]
-    report = buchberger_check_keys(gens, order)
+    report = quadratic_gb_check(s, gens, order)
     lines = [
         f"pass: {'true' if report.passed else 'false'}",
         f"checked_pairs: {report.checked_pairs}",

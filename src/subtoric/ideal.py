@@ -5,17 +5,26 @@ cells (i,k),(j,l) and the antidiagonal cells (i,l),(j,k) of the 2x2
 submatrix.  Such a move respects the subset-sum constraint exactly when
 the two cell pairs meet the subset equally often; those quadruples form
 the generating set studied here.  Also provides the exclusion rule that
-characterizes the missing quadruples on staircase patterns, and the
-reduction of a block-diagonal pattern to its top-left block.
+characterizes the missing quadruples on staircase patterns, the
+reduction of a block-diagonal pattern to its top-left block, and the
+Buchberger check of the moves read from their 3x3 restrictions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from subtoric import tables
-from subtoric.binomials import Binomial, MonomialOrder, Pair, orient
+from subtoric.binomials import (
+    Binomial,
+    BuchbergerReport,
+    MonomialOrder,
+    Pair,
+    _s_pair_count,
+    buchberger_check_keys,
+    orient,
+)
 from subtoric.tables import (
     BlockWitness,
     BudgetError,
@@ -24,6 +33,7 @@ from subtoric.tables import (
     TableShape,
     block_pattern,
     margins,
+    restrictions,
 )
 
 
@@ -145,6 +155,53 @@ def build_generators(s: Subset) -> GeneratorSet:
                 if diff[k] == diff[ell]
             ]
     return GeneratorSet(s, tuple(kept))
+
+
+# Pass verdicts of the kept moves on small patterns, keyed (r, c, bits)
+# as ``restrictions`` packs them and filled on first use: at most
+# 2^(r*c) entries under each r, c <= 3.
+_LOCAL_VERDICTS: dict[tuple[int, int, int], bool] = {}
+
+
+def _local_verdict(r: int, c: int, bits: int) -> bool:
+    """Do the kept moves of the packed r x c pattern pass the pair loop?"""
+    cells = [(k // c + 1, k % c + 1) for k in range(r * c) if bits >> k & 1]
+    s = Subset.from_cells(r, c, cells)
+    order = MonomialOrder(s.shape)
+    # Under this order the antidiagonal leads every move.
+    return buchberger_check_keys(move_keys(build_generators(s), order), order).passed
+
+
+def quadratic_gb_check(
+    s: Subset, gens: Sequence[Pair], order: MonomialOrder
+) -> BuchbergerReport:
+    """``buchberger_check_keys`` on gens, the oriented move keys of
+    ``build_generators(s)``, with its pass verdict read from the
+    restrictions of s to min(m,3) rows and min(n,3) columns.
+
+    Locality: whether a move is kept depends on its own 2x2 minor only,
+    and restricting rows and columns keeps the order on the cells left,
+    so the kept moves inside a restriction are the restriction's own, in
+    the same order.  Two leading terms that share a cell span at most 3
+    rows and 3 columns; their S-pair and every move that divides it
+    along the way lie in those rows and columns.  So every S-pair
+    reduces to zero exactly when each restriction passes: a staircase
+    passes when all its restrictions, themselves staircases, do.
+
+    The S-pair count and the MAX_S_PAIRS refusal come first.  When a
+    restriction fails, the pair loop runs to name the first failing pair.
+    """
+    # A move's leading term is two distinct cells, its own support.
+    checked = _s_pair_count([lt for lt, _ in gens], order.shape)
+    r, c = min(s.shape.m, 3), min(s.shape.n, 3)
+    for bits in {bits for _, _, bits in restrictions(s, r, c)}:
+        verdict = _LOCAL_VERDICTS.get((r, c, bits))
+        if verdict is None:
+            verdict = _LOCAL_VERDICTS[r, c, bits] = _local_verdict(r, c, bits)
+        if not verdict:
+            return buchberger_check_keys(gens, order)
+    k = len(gens)
+    return BuchbergerReport(True, checked, k * (k - 1) // 2 - checked, None)
 
 
 def minor_excluded(s: Subset, q: QuadGen) -> bool:

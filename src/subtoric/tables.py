@@ -14,9 +14,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, permutations
+from itertools import chain, combinations, permutations, repeat
 from operator import add, getitem, le, sub
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 class ShapeMismatchError(ValueError):
@@ -510,6 +510,23 @@ def is_triangular_in_place(s: Subset) -> bool:
             if j > 0 and not s.mask[i][j - 1]:
                 return False
     return True
+
+
+def restrictions(
+    s: Subset, r: int, c: int
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """Every restriction of s to r of its rows and c of its columns, each
+    kept in order, as (rows, cols, bits): 0-based ascending indices and
+    the r x c mask with its cell (a, b) at bit a*c + b."""
+    col_sets = list(combinations(range(s.shape.n), c))
+    packed = [
+        [sum(row[j] << b for b, j in enumerate(cols)) for cols in col_sets] for row in s.mask
+    ]
+    # Each row's bits on every column choice, moved up to restriction row a.
+    shifted = [[[p << a * c for p in ps] for ps in packed] for a in range(r)]
+    for rows in combinations(range(s.shape.m), r):
+        lanes = zip(*(shifted[a][i] for a, i in enumerate(rows)))
+        yield from zip(repeat(rows), col_sets, map(sum, lanes))
 
 
 def block_pattern(shape: TableShape, r: int, c: int) -> Subset:

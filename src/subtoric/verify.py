@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from subtoric import tables
-from subtoric.binomials import BuchbergerReport, MonomialOrder, buchberger_check_keys
+from subtoric.binomials import BuchbergerReport, MonomialOrder
 from subtoric.fibers import (
     CensusRow,
     Fiber,
@@ -29,6 +29,7 @@ from subtoric.ideal import (
     block_reduce,
     build_generators,
     move_keys,
+    quadratic_gb_check,
 )
 from subtoric.tables import (
     BudgetError,
@@ -126,7 +127,7 @@ def _certify_staircase(
             raise VerificationError(
                 f"leading term of {q.as_tuple} is not the squarefree antidiagonal"
             )
-    gb = buchberger_check_keys(gens, order)
+    gb = quadratic_gb_check(s, gens, order)
     if not gb.passed:
         raise VerificationError(f"Buchberger failed on staircase: {gb.failure}")
     return gb, census

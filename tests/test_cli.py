@@ -218,13 +218,17 @@ def test_check_gb_report_equals_the_binomial_report(tmp_path, capsys):
 
     rng = random.Random(711)
     cases = []
-    for _ in range(12):
-        m, n = rng.randint(2, 5), rng.randint(2, 5)
-        stair = random_staircase(rng, m, n)
-        cases += [stair, stair.permuted(random_perm_pair(rng, m, n))]
-        cases.append(random_subset(rng, m, n))
+    for low, high, count in ((2, 5, 12), (4, 6, 4)):
+        for _ in range(count):
+            m, n = rng.randint(low, high), rng.randint(low, high)
+            stair = random_staircase(rng, m, n)
+            cases += [stair, stair.permuted(random_perm_pair(rng, m, n))]
+            cases.append(random_subset(rng, m, n))
     path = tmp_path / "s.txt"
     failed = 0
+    # Outcomes on shapes of at least 4x4, whose screen reads 16 or more
+    # 3x3 restrictions.
+    large = set()
     for s in cases:
         order = MonomialOrder(s.shape)
         expected = buchberger_check(build_generators(s).binomials(order), order)
@@ -232,7 +236,10 @@ def test_check_gb_report_equals_the_binomial_report(tmp_path, capsys):
         assert cli.main(["check-gb", "--json", str(path)]) == (0 if expected.passed else 1)
         assert json.loads(capsys.readouterr().out)["payload"] == expected.to_json_dict(), s
         failed += not expected.passed
+        if min(s.shape.m, s.shape.n) >= 4:
+            large.add(expected.passed)
     assert 2 <= failed < len(cases)
+    assert large == {True, False}
 
 
 # ------------------------------------------------------------------- verify

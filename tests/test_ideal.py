@@ -6,7 +6,14 @@ import random
 
 import pytest
 
-from subtoric.binomials import MonomialOrder, buchberger_check, lex_compare, orient
+import subtoric.ideal as ideal_mod
+from subtoric.binomials import (
+    MonomialOrder,
+    buchberger_check,
+    buchberger_check_keys,
+    lex_compare,
+    orient,
+)
 from subtoric.ideal import (
     GeneratorSet,
     QuadGen,
@@ -16,6 +23,7 @@ from subtoric.ideal import (
     minor_excluded,
     move_keys,
     quad_membership,
+    quadratic_gb_check,
 )
 import subtoric.tables as tables_mod
 from subtoric.tables import (
@@ -29,6 +37,7 @@ from subtoric.tables import (
     classify,
     is_triangular_in_place,
     margins,
+    restrictions,
 )
 from util import (
     expand_by_variables,
@@ -418,3 +427,105 @@ def test_six_cubic_spoly_forms_on_canonical_staircases():
                     if pat is None:
                         continue
                     assert pat in allowed, (s.to_text(), pat)
+
+
+# ------------------------------------------------- screened Groebner check
+
+def screened_and_looped(s):
+    """The screen's report and the pair loop's, on the same move keys (the
+    antidiagonal leads every move under this order)."""
+    order = MonomialOrder(s.shape)
+    gens = move_keys(build_generators(s), order)
+    return quadratic_gb_check(s, gens, order), buchberger_check_keys(gens, order)
+
+
+def test_restrictions_pack_every_row_and_column_choice_in_order():
+    from itertools import combinations
+
+    rng = random.Random(2103)
+    for m, n, r, c in ((1, 1, 1, 1), (2, 5, 2, 3), (5, 2, 3, 2), (4, 4, 3, 3), (5, 6, 3, 2)):
+        s = random_subset(rng, m, n)
+        expected = [
+            (rows, cols, sum(
+                s.mask[i][j] << a * c + b
+                for a, i in enumerate(rows)
+                for b, j in enumerate(cols)
+            ))
+            for rows in combinations(range(m), r)
+            for cols in combinations(range(n), c)
+        ]
+        assert list(restrictions(s, r, c)) == expected
+
+
+def test_screen_report_equals_the_pair_loop_on_a_seeded_sweep():
+    # Every shape from 1x1 to 7x7, thin ones included; random subsets and
+    # permuted staircases, so that many fail and name a pair.
+    rng = random.Random(2101)
+    failed = 0
+    for m in range(1, 8):
+        for n in range(1, 8):
+            for _ in range(16):
+                pick = rng.choice((random_subset, random_staircase, random_staircase))
+                s = pick(rng, m, n)
+                if pick is random_staircase:
+                    s = s.permuted(random_perm_pair(rng, m, n))
+                screened, looped = screened_and_looped(s)
+                assert screened == looped, s
+                failed += not looped.passed
+    assert failed >= 300
+
+
+def test_screen_report_equals_the_pair_loop_on_every_staircase_up_to_6x6():
+    shapes = [(m, n) for m in range(1, 6) for n in range(1, 6)] + [(6, 6)]
+    for m, n in shapes:
+        for s in staircases(m, n):
+            screened, looped = screened_and_looped(s)
+            assert looped.passed and screened == looped, s
+
+
+def test_screen_report_equals_the_pair_loop_on_permuted_staircases():
+    # Moved out of their corner, staircases fail as OFFCORNER4 does, and
+    # the screen hands the naming of the failure to the pair loop.
+    screened, looped = screened_and_looped(S(4, 4, (2, 2)))
+    assert screened == looped
+    assert str(screened.failure.remainder) == "x11*x23*x32-x12*x21*x33"
+    rng = random.Random(2102)
+    outcomes = []
+    for m, n in ((3, 4), (4, 3), (4, 4), (5, 5), (6, 5), (6, 6)):
+        for _ in range(6):
+            s = random_staircase(rng, m, n).permuted(random_perm_pair(rng, m, n))
+            screened, looped = screened_and_looped(s)
+            assert screened == looped, s
+            outcomes.append(looped.passed)
+    assert outcomes.count(False) >= 20 and outcomes.count(True) >= 2
+
+
+def test_every_small_staircase_in_place_passes_the_pair_loop():
+    # The paper's Groebner claim for this order, made finite: by the
+    # locality argument in quadratic_gb_check, a staircase of any shape
+    # passes when its restrictions to at most 3 rows and 3 columns, all
+    # staircases in place on these shapes (or on 1xk and kx1, which keep
+    # no move), pass.
+    for m, n in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        order = MonomialOrder(TableShape(m, n))
+        for s in staircases(m, n):
+            assert buchberger_check(build_generators(s).binomials(order), order).passed, s
+
+
+def test_verdict_cache_stays_bounded_and_agrees_with_the_pair_loop():
+    rng = random.Random(2104)
+    for m, n in ((1, 4), (2, 2), (2, 5), (5, 2), (3, 3), (4, 4), (5, 5)):
+        for _ in range(10):
+            screened_and_looped(random_subset(rng, m, n))
+    cache = ideal_mod._LOCAL_VERDICTS
+    per_shape = {}
+    for r, c, bits in cache:
+        assert 1 <= r <= 3 and 1 <= c <= 3 and 0 <= bits < 1 << r * c
+        per_shape[r, c] = per_shape.get((r, c), 0) + 1
+    assert per_shape and all(k <= 1 << r * c for (r, c), k in per_shape.items())
+    # Each verdict is the pair loop's on the pattern its bits pack.
+    for (r, c, bits), verdict in cache.items():
+        small = S(r, c, *[(k // c + 1, k % c + 1) for k in range(r * c) if bits >> k & 1])
+        order = MonomialOrder(small.shape)
+        gens = build_generators(small).binomials(order)
+        assert buchberger_check(gens, order).passed == verdict, (r, c, bits)

@@ -179,12 +179,46 @@ def test_large_patterns_refuse_on_budget_before_the_s_pair_loop(monkeypatch):
         raise AssertionError("moves keyed or S-pairs reduced before the budget check")
 
     monkeypatch.setattr(verify_mod, "move_keys", too_early)
-    monkeypatch.setattr(verify_mod, "buchberger_check_keys", too_early)
+    monkeypatch.setattr(verify_mod, "quadratic_gb_check", too_early)
     stair = S(12, 12, *[(i, j) for i in range(1, 13) for j in range(1, 14 - i)])
     for s in (stair, block_pattern(TableShape(12, 12), 5, 7)):
         with pytest.raises(BudgetError) as err:
             verify_subset(s, 4)
         assert str(err.value) == "508080 degree-3 tables on 12x12 exceed budget 200000"
+
+
+def test_s_pair_ceiling_refuses_verify_and_check_gb_before_any_restriction(
+    monkeypatch, tmp_path, capsys
+):
+    import subtoric.binomials as binomials_mod
+    import subtoric.ideal as ideal_mod
+    from subtoric import cli
+
+    stair = S(5, 5, *[(i, j) for i in range(1, 6) for j in range(1, 7 - i)])
+    path = tmp_path / "s.txt"
+    path.write_text(stair.to_text() + "\n")
+    pairs = verify_subset(stair, 2).gb.checked_pairs
+    monkeypatch.setattr(tables_mod, "MAX_S_PAIRS", pairs)
+    assert verify_subset(stair, 2).gb.passed
+    assert cli.main(["check-gb", str(path)]) == 0
+    capsys.readouterr()
+
+    def too_late(*_args):
+        raise AssertionError("S-pair reduced or restriction read past the ceiling")
+
+    monkeypatch.setattr(tables_mod, "MAX_S_PAIRS", pairs - 1)
+    monkeypatch.setattr(binomials_mod._Divider, "reduce", too_late)
+    monkeypatch.setattr(ideal_mod, "_local_verdict", too_late)
+    monkeypatch.setattr(ideal_mod, "_LOCAL_VERDICTS", {})
+    message = f"{pairs} S-pairs on 5x5 exceed budget {pairs - 1}"
+    with pytest.raises(BudgetError) as err:
+        verify_subset(stair, 2)
+    assert str(err.value) == message
+    assert cli.main(["check-gb", str(path)]) == 3
+    out, err_text = capsys.readouterr()
+    lines = err_text.splitlines()
+    assert out == "" and lines[0] == f"budget exceeded: {message}"
+    assert len(lines) == 2 and lines[1].startswith("elapsed: ")
 
 
 def test_classified_subsets_refuse_on_budget_before_building_moves(monkeypatch):
