@@ -292,12 +292,16 @@ def buchberger_check(
 def _s_pair_count(supports: Sequence[Key], shape: TableShape) -> int:
     """How many pairs of leading terms share a cell, given each one's
     distinct cells: inclusion-exclusion over each support's 2^s - 1
-    nonempty cell sets.  More than MAX_S_PAIRS raise BudgetError."""
-    shared = Counter(
-        cells for sup in supports for r in range(1, len(sup) + 1)
-        for cells in combinations(sup, r)
-    )
-    count = sum((-1) ** (len(c) + 1) * k * (k - 1) // 2 for c, k in shared.items())
+    nonempty cell sets.  A set of 2 or more cells that only one support
+    holds adds 0, so those sets are counted only when some support has
+    more than 2 cells or repeats.  More than MAX_S_PAIRS raise BudgetError."""
+    count = sum(k * (k - 1) // 2 for k in Counter(chain.from_iterable(supports)).values())
+    if any(len(sup) > 2 for sup in supports) or len(set(supports)) < len(supports):
+        shared = Counter(
+            cells for sup in supports for r in range(2, len(sup) + 1)
+            for cells in combinations(sup, r)
+        )
+        count += sum((-1) ** (len(c) + 1) * k * (k - 1) // 2 for c, k in shared.items())
     if count > tables.MAX_S_PAIRS:
         raise BudgetError(f"{count} S-pairs on {shape} exceed budget {tables.MAX_S_PAIRS}")
     return count

@@ -13,6 +13,9 @@ Buchberger check of the moves read from their 3x3 restrictions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain, combinations, compress
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from subtoric import tables
@@ -84,9 +87,21 @@ def _check_fits(shape: TableShape, q: QuadGen) -> None:
 
 def move_keys(moves: Iterable[QuadGen], order: MonomialOrder) -> list[Pair]:
     """Each move's (antidiagonal, diagonal) sides of ``expand`` as order
-    keys, read straight off its cells; not oriented, no CellTable built."""
-    key = order.cells_key
-    return [(key(q.antidiagonal_cells), key(q.diagonal_cells)) for q in moves]
+    keys; not oriented, no CellTable built.  Cell (a, b) sits at position
+    (a - m)*n + 1 - b, as ``cells_key`` writes it, and row j > i comes
+    first, so each key is written in descending order with no sort."""
+    m, n = order.shape.m, order.shape.n
+    base = 1 - m * n
+    out = []
+    for q in moves:
+        i, j, k, ell = q.i, q.j, q.k, q.ell
+        if j > m or ell > n:
+            # The first antidiagonal cell outside, as ``cells_key`` names it.
+            a, b = (i, ell) if i > m or ell > n else (j, k)
+            raise ValueError(f"cell ({a},{b}) outside {order.shape}")
+        top, bottom = i * n + base, j * n + base
+        out.append(((bottom - k, top - ell), (bottom - ell, top - k)))
+    return out
 
 
 def _check_quad_budget(shape: TableShape) -> None:
@@ -98,16 +113,24 @@ def _check_quad_budget(shape: TableShape) -> None:
         )
 
 
+@lru_cache(maxsize=None)
+def _quad_blocks(m: int, n: int) -> tuple[tuple[QuadGen, ...], ...]:
+    """Every candidate move on m x n, one block per row pair i < j, each
+    block in column-pair order, so the blocks in turn are all_quads order.
+    Cached: C(m,2)*C(n,2) frozen moves per shape asked for (441 on 7x7),
+    at most MAX_QUADS; callers must budget-check first."""
+    cols = list(combinations(range(1, n + 1), 2))
+    return tuple(
+        tuple(QuadGen(i, j, k, ell) for k, ell in cols)
+        for i in range(1, m + 1)
+        for j in range(i + 1, m + 1)
+    )
+
+
 def all_quads(shape: TableShape) -> list[QuadGen]:
     """Every row pair and column pair; past MAX_QUADS, none is built."""
     _check_quad_budget(shape)
-    return [
-        QuadGen(i, j, k, ell)
-        for i in range(1, shape.m + 1)
-        for j in range(i + 1, shape.m + 1)
-        for k in range(1, shape.n + 1)
-        for ell in range(k + 1, shape.n + 1)
-    ]
+    return list(chain.from_iterable(_quad_blocks(shape.m, shape.n)))
 
 
 @dataclass(frozen=True)
@@ -140,20 +163,18 @@ def build_generators(s: Subset) -> GeneratorSet:
     subset-sum coordinate can tell them apart.  The antidiagonal (i,l),
     (j,k) and the diagonal (i,k), (j,l) meet S equally often exactly
     when the row pair's indicator differences S(i,c) - S(j,c) are equal
-    at columns k and l, so only those moves are built.
+    at columns k and l, so each row pair keeps those moves of its block
+    in ``_quad_blocks``.
     """
     _check_quad_budget(s.shape)
     mask, n = s.mask, s.shape.n
-    kept = []
+    blocks = iter(_quad_blocks(s.shape.m, n))
+    cols = list(combinations(range(n), 2))
+    kept: list[QuadGen] = []
     for i, upper in enumerate(mask):
-        for j in range(i + 1, len(mask)):
-            diff = [a - b for a, b in zip(upper, mask[j])]
-            kept += [
-                QuadGen(i + 1, j + 1, k + 1, ell + 1)
-                for k in range(n)
-                for ell in range(k + 1, n)
-                if diff[k] == diff[ell]
-            ]
+        for lower in mask[i + 1 :]:
+            diff = [a - b for a, b in zip(upper, lower)]
+            kept += compress(next(blocks), [diff[k] == diff[ell] for k, ell in cols])
     return GeneratorSet(s, tuple(kept))
 
 
@@ -194,7 +215,7 @@ def quadratic_gb_check(
     # A move's leading term is two distinct cells, its own support.
     checked = _s_pair_count([lt for lt, _ in gens], order.shape)
     r, c = min(s.shape.m, 3), min(s.shape.n, 3)
-    for bits in {bits for _, _, bits in restrictions(s, r, c)}:
+    for bits in set(map(itemgetter(2), restrictions(s, r, c))):
         verdict = _LOCAL_VERDICTS.get((r, c, bits))
         if verdict is None:
             verdict = _LOCAL_VERDICTS[r, c, bits] = _local_verdict(r, c, bits)

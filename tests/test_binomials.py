@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -460,6 +461,24 @@ def test_s_pair_ceiling_is_inclusive_and_refuses_before_any_reduction(monkeypatc
         BudgetError, match=f"^{pairs} S-pairs on 4x4 exceed budget {pairs - 1}$"
     ):
         buchberger_check(gens, order)
+
+
+def test_s_pair_count_equals_a_count_of_pairs_that_share_a_cell():
+    shape = TableShape(3, 3)
+    pool = range(-8, 1)
+    rng = random.Random(2204)
+    for trial in range(400):
+        # Every fourth trial draws 2-cell supports only, repeats or not.
+        sizes = (2, 2) if trial % 4 == 0 else (1, 4)
+        supports = [
+            tuple(sorted(rng.sample(pool, rng.randint(*sizes)), reverse=True))
+            for _ in range(rng.randint(0, 12))
+        ]
+        if supports and trial % 2:
+            supports += rng.choices(supports, k=rng.randint(1, 3))
+            rng.shuffle(supports)
+        brute = sum(1 for a, b in combinations(supports, 2) if set(a) & set(b))
+        assert binomials_mod._s_pair_count(supports, shape) == brute, supports
 
 
 def test_normal_form_matches_scan_on_random_cases():

@@ -122,6 +122,43 @@ def test_move_keys_reject_a_quad_outside_the_shape():
             move_keys([q], order)
 
 
+def test_move_keys_are_the_cell_keys_of_both_sides_on_every_shape_to_8x8():
+    for m in range(1, 9):
+        for n in range(1, 9):
+            order = MonomialOrder(TableShape(m, n))
+            quads = all_quads(order.shape)
+            expected = [
+                (order.cells_key(q.antidiagonal_cells), order.cells_key(q.diagonal_cells))
+                for q in quads
+            ]
+            assert move_keys(quads, order) == expected, (m, n)
+
+
+def test_move_keys_name_the_cell_outside_as_the_cell_keys_do():
+    order = MonomialOrder(TableShape(2, 2))
+    for q, text in (
+        (QuadGen(1, 2, 1, 3), "cell (1,3) outside 2x2"),
+        (QuadGen(1, 3, 1, 2), "cell (3,1) outside 2x2"),
+        (QuadGen(3, 4, 1, 2), "cell (3,2) outside 2x2"),
+        (QuadGen(1, 3, 2, 3), "cell (1,3) outside 2x2"),
+    ):
+        with pytest.raises(ValueError) as err:
+            move_keys([QuadGen(1, 2, 1, 2), q], order)
+        assert str(err.value) == text
+    # Every quad of a larger shape that leaves a smaller one, on every side.
+    for m in range(1, 5):
+        for n in range(1, 5):
+            order = MonomialOrder(TableShape(m, n))
+            for q in all_quads(TableShape(m + 2, n + 2)):
+                if q.j <= m and q.ell <= n:
+                    continue
+                with pytest.raises(ValueError) as want:
+                    order.cells_key(q.antidiagonal_cells)
+                with pytest.raises(ValueError) as got:
+                    move_keys([q], order)
+                assert str(got.value) == str(want.value), (m, n, q)
+
+
 def test_all_quads_count_and_order():
     quads = all_quads(TableShape(3, 3))
     assert len(quads) == 9
@@ -182,6 +219,79 @@ def test_generators_are_the_kept_candidates_in_order_on_seeded_subsets():
         if rng.random() < 0.3:
             s = random_staircase(rng, m, n).permuted(random_perm_pair(rng, m, n))
         assert list(build_generators(s).quads) == _kept_by_counting(s), s.to_text()
+
+
+def test_generators_equal_a_per_row_pair_reference_on_a_seeded_sweep():
+    rng = random.Random(2202)
+    shapes = [(m, n) for m in range(1, 8) for n in range(1, 8)]
+    assert (1, 7) in shapes and (7, 1) in shapes
+    for m, n in shapes:
+        for _ in range(3):
+            s = random_subset(rng, m, n, rng.choice((0.2, 0.5, 0.8)))
+            if rng.random() < 0.3:
+                s = random_staircase(rng, m, n).permuted(random_perm_pair(rng, m, n))
+            # Each row pair's candidates built afresh, kept by their margins.
+            reference = [
+                q
+                for i in range(1, m + 1)
+                for j in range(i + 1, m + 1)
+                for q in (
+                    QuadGen(i, j, k, ell)
+                    for k in range(1, n + 1)
+                    for ell in range(k + 1, n + 1)
+                )
+                if quad_membership(s, q)
+            ]
+            assert list(build_generators(s).quads) == reference, s.to_text()
+
+
+def test_candidate_table_is_filled_after_the_budget_check_and_builds_no_move(monkeypatch):
+    table = ideal_mod._quad_blocks
+    table.cache_clear()
+    real_check = ideal_mod._check_quad_budget
+    checked = []
+
+    def check_first(shape):
+        # The table of this shape is not filled when its budget is checked.
+        assert table.cache_info().currsize == len(checked)
+        real_check(shape)
+        checked.append((shape.m, shape.n))
+
+    monkeypatch.setattr(ideal_mod, "_check_quad_budget", check_first)
+    monkeypatch.setattr(tables_mod, "MAX_QUADS", 60)
+    with pytest.raises(BudgetError, match="^100 candidate moves on 5x5 exceed budget 60$"):
+        build_generators(Subset.full(5, 5))
+    assert table.cache_info().currsize == 0
+    shapes = [(1, 1), (1, 6), (6, 1), (2, 2), (3, 5), (4, 5), (5, 3)]
+    for m, n in shapes:
+        build_generators(Subset.full(m, n))
+    assert checked == shapes and table.cache_info().currsize == len(shapes)
+    monkeypatch.setattr(ideal_mod, "_check_quad_budget", real_check)
+    for m, n in shapes:
+        blocks = table(m, n)
+        assert len(blocks) == m * (m - 1) // 2, (m, n)
+        assert all(len(b) == n * (n - 1) // 2 for b in blocks), (m, n)
+        assert [q.as_tuple for block in blocks for q in block] == [
+            (i, j, k, ell)
+            for i in range(1, m + 1)
+            for j in range(i + 1, m + 1)
+            for k in range(1, n + 1)
+            for ell in range(k + 1, n + 1)
+        ], (m, n)
+    assert table.cache_info().currsize == len(shapes)
+
+    # Once filled, a shape's generator sets reuse its moves.
+    def no_building(*_args):
+        raise AssertionError("built a move the table holds")
+
+    monkeypatch.setattr(ideal_mod, "QuadGen", no_building)
+    rng = random.Random(2203)
+    held = {id(q) for block in table(4, 5) for q in block}
+    for _ in range(20):
+        s = random_subset(rng, 4, 5)
+        gset = build_generators(s)
+        assert {id(q) for q in gset} <= held
+        assert list(gset.quads) == _kept_by_counting(s)
 
 
 def test_generators_full_2x2():
